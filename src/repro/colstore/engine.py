@@ -10,17 +10,15 @@ partitioning, so Row-MV scans always read every year.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ChecksumError, CorruptPageError, PlanError, WriteError
-from ..obs import Span, Trace, Tracer, span_context
+from ..obs import Trace, Tracer, span_context
 from ..plan.logical import StarQuery
 from ..result import ResultSet
-from ..simio.buffer_pool import BufferPool
-from ..simio.disk import SimulatedDisk
 from ..simio.stats import CostBreakdown, CostModel, PAPER_2008, QueryStats
 from ..ssb.generator import SsbData
 from ..ssb.queries import FLIGHT_OF
@@ -31,17 +29,12 @@ from ..storage.projection import Projection
 from ..storage.rowpage import RowFormat
 from ..storage.table import Table
 from ..core.config import ExecutionConfig
+from ..core.host import EngineHost, split_bytes
 from ..rowstore.designs import mv_columns_for_flight
 from .operators.aggregate import factorize_groups
 from .operators.materialize import row_pipeline
 from .operators.scan import stored_bounds
 from .planner import ColumnPlanner, StoreContext
-
-#: Same machine as the row store: pool scales with the data (Section 6).
-PAPER_BUFFER_POOL_BYTES = 500 * 1024 * 1024
-PAPER_SCALE_FACTOR = 10.0
-MIN_POOL_BYTES = 8 * 32 * 1024
-
 
 @dataclass
 class ColumnStoreRun:
@@ -65,7 +58,7 @@ class ColumnStoreRun:
         return self.cost.total_seconds
 
 
-class CStore:
+class CStore(EngineHost):
     """A C-Store-style column engine over the simulated disk.
 
     Parameters
@@ -81,6 +74,15 @@ class CStore:
         column for the CS Row-MV experiment.
     """
 
+    _storage_attrs = EngineHost._storage_attrs + (
+        "_projections", "_tables", "_contiguous", "_monotonic", "_row_mv")
+    _run_class = ColumnStoreRun
+    _writes_switch = "ExecutionConfig.writes"
+    # host methods rebound in the class body: perfbench/tracing.py wraps
+    # methods per class, so each traced one must live in CStore.__dict__
+    shard_children = EngineHost.shard_children
+    move = EngineHost.move
+
     def __init__(
         self,
         data: SsbData,
@@ -91,30 +93,9 @@ class CStore:
         buffer_pool_bytes: Optional[int] = None,
         fault_injector=None,
     ) -> None:
-        self.data = data
-        self.cost_model = cost_model
-        scale = data.scale_factor / PAPER_SCALE_FACTOR
-        if buffer_pool_bytes is None:
-            buffer_pool_bytes = max(MIN_POOL_BYTES,
-                                    int(PAPER_BUFFER_POOL_BYTES * scale))
+        super().__init__(data, cost_model, buffer_pool_bytes,
+                         fault_injector)
         self._levels = tuple(levels)
-        self._pool_bytes = buffer_pool_bytes
-        #: shard count -> [(FactShard, child CStore)], built lazily
-        self._shard_sets: Dict[int, List[Tuple[object, "CStore"]]] = {}
-        #: lazily created delta store (first accepted write); None means
-        #: this engine has never seen a write
-        self._writes = None
-        #: write epoch the current base pages (and their zone-map
-        #: sidecars) reflect; bumped by the tuple mover
-        self._zm_epoch = 0
-        #: the tables this engine was opened with — cold-start replay
-        #: always re-applies the journal against these, never against a
-        #: possibly-moved current base, so recovery is idempotent
-        self._genesis_tables: Dict[str, Table] = dict(data.tables)
-        self.disk = SimulatedDisk()
-        # installed before any load so shadow rebuilds are fault-injectable
-        self.disk.fault_injector = fault_injector
-        self.pool = BufferPool(self.disk, buffer_pool_bytes)
         self._projections: Dict[Tuple[str, CompressionLevel],
                                 List[Projection]] = {}
         self._tables: Dict[str, Table] = dict(data.tables)
@@ -166,6 +147,30 @@ class CStore:
                              if t == table_name}, key=lambda lv: lv.value)
         for level in levels:
             self.load_table(table, sort_keys, level)
+        for child in self._shard_engines():
+            child.add_projection(table_name, sort_keys, levels)
+
+    def _sibling(self, data: SsbData,
+                 shards: Optional[int] = None) -> "CStore":
+        engine = CStore(data, levels=self._levels,
+                        cost_model=self.cost_model,
+                        buffer_pool_bytes=split_bytes(self._pool_bytes,
+                                                      shards),
+                        fault_injector=(None if shards
+                                        else self.disk.fault_injector))
+        if shards is None:
+            # shard children never serve row-MV runs
+            for flight in sorted(self._row_mv):
+                engine.load_row_mv(flight)
+        # replay every projection in load order: the defaults are no-ops,
+        # added sort orders and levels carry over; projections of tables
+        # outside the SSB data (denormalized copies) are not rebuilt
+        for (table, level), projections in self._projections.items():
+            if table in engine._tables:
+                for projection in projections:
+                    engine.load_table(engine._tables[table],
+                                      projection.sort_order.keys, level)
+        return engine
 
     def _classify_keys(self, table: Table) -> None:
         """Detect contiguous-from-1 and monotonic key columns (used by
@@ -251,27 +256,13 @@ class CStore:
         read-only config against a dirty engine raises
         :class:`~repro.errors.WriteError` rather than answering wrong.
         """
-        ws = self._writes
-        if (_visibility is None and ws is not None and config.writes
-                and config.move_threshold_rows is not None
-                and ws.pending_rows() > config.move_threshold_rows):
-            # automatic tuple-mover policy: drain on its own ledger so
-            # the query's ledger only ever carries query work
-            self.move()
-        if _visibility is None and ws is not None and ws.has_pending():
-            if not config.writes:
-                raise WriteError(
-                    "engine holds pending writes; enable "
-                    "ExecutionConfig.writes or run the tuple mover first"
-                )
-            vis = ws.visibility()
-            if vis.needs_merge:
-                return self._execute_merge(query, config, level, cold_pool,
-                                           cancellation, vis)
-            _visibility = vis
-        if config.shards > 1:
-            return self._execute_sharded(query, config, level, cold_pool,
-                                         cancellation, _visibility)
+        return self._execute(query, (config, level), config, cold_pool,
+                             cancellation, _visibility)
+
+    def _execute_single(self, query: StarQuery, options: tuple,
+                        cold_pool: bool, cancellation,
+                        visibility) -> ColumnStoreRun:
+        config, level = options
         forbidden: set = set()
         recoveries = 0
         saved_cancellation = self.disk.cancellation
@@ -290,7 +281,7 @@ class CStore:
                 tracer = Tracer(stats, self.cost_model)
                 planner = ColumnPlanner(self._context(forbidden), config,
                                         level, tracer=tracer,
-                                        visibility=_visibility)
+                                        visibility=visibility)
                 try:
                     result = planner.run(query)
                 except ChecksumError as error:
@@ -308,114 +299,6 @@ class CStore:
                                             None))
         finally:
             self.disk.cancellation = saved_cancellation
-
-    # ------------------------------------------------------------------ #
-    # sharded execution
-    # ------------------------------------------------------------------ #
-    def shard_children(self, shards: int) -> List[Tuple[object, "CStore"]]:
-        """The ``shards``-way shard set: each entry pairs a
-        :class:`~repro.shard.partition.FactShard` with a complete child
-        engine on its own simulated disk array.  Built once per shard
-        count and reused across queries (the shards *are* the physical
-        design, not per-query scratch state)."""
-        existing = self._shard_sets.get(shards)
-        if existing is not None:
-            return existing
-        from ..shard.partition import ShardScheme, partition_data
-
-        scheme = (ShardScheme.RANGE
-                  if self.data.lineorder.sort_order.sorted_prefix_of(
-                      "orderdate")
-                  else ShardScheme.HASH)
-        child_pool = max(MIN_POOL_BYTES, self._pool_bytes // shards)
-        children = [
-            (shard, CStore(shard.data, levels=self._levels,
-                           cost_model=self.cost_model,
-                           buffer_pool_bytes=child_pool))
-            for shard in partition_data(self.data, shards, scheme)
-        ]
-        self._shard_sets[shards] = children
-        return children
-
-    def _execute_sharded(
-        self,
-        query: StarQuery,
-        config: ExecutionConfig,
-        level: Optional[CompressionLevel],
-        cold_pool: bool,
-        cancellation,
-        visibility=None,
-    ) -> ColumnStoreRun:
-        from ..shard.executor import scatter_gather
-
-        children = self.shard_children(config.shards)
-        child_config = replace(config, shards=1)
-
-        def execute_one(k: int, shard_query: StarQuery) -> ColumnStoreRun:
-            child_vis = None
-            if visibility is not None and visibility.needs_patching:
-                # slice the database-wide deleted mask down to this
-                # shard's fact rows (shard positions index the unsharded
-                # fact table)
-                from ..write.store import Visibility
-
-                shard = children[k][0]
-                mask = visibility.fact_deleted[shard.positions]
-                if bool(mask.any()):
-                    child_vis = Visibility(
-                        epoch=visibility.epoch, store=visibility.store,
-                        fact_deleted=mask)
-            return children[k][1].execute(
-                shard_query, child_config, level=level, cold_pool=cold_pool,
-                cancellation=cancellation, _visibility=child_vis)
-
-        result, stats, trace, report = scatter_gather(
-            query, [shard.synopsis for shard, _engine in children],
-            self.data.date, execute_one, self.cost_model)
-        return ColumnStoreRun(result, stats, self.cost_model.cost(stats),
-                              trace=trace, shard_report=report)
-
-    # ------------------------------------------------------------------ #
-    # snapshot reads over pending inserts (WOS merge)
-    # ------------------------------------------------------------------ #
-    def _execute_merge(
-        self,
-        query: StarQuery,
-        config: ExecutionConfig,
-        level: Optional[CompressionLevel],
-        cold_pool: bool,
-        cancellation,
-        vis,
-    ) -> ColumnStoreRun:
-        """Base run plus a WOS delta partial, combined like one more
-        shard.  The scatter rewrite makes the partials mergeable (AVG as
-        SUM+COUNT, hidden row counts for scalar MIN/MAX), and the merged
-        trace carries the delta's compute under a ``wos-merge`` span."""
-        from ..shard.executor import gather, shard_plan
-        from ..write.delta import delta_partial
-
-        spec = shard_plan(query)
-        base_run = self.execute(spec.shard_query, config, level=level,
-                                cold_pool=cold_pool,
-                                cancellation=cancellation, _visibility=vis)
-        delta_stats = QueryStats()
-        partial = delta_partial(spec.shard_query, vis.delta_tables(),
-                                delta_stats)
-        result = gather(query, spec, [base_run.result, partial])
-        merged = QueryStats(**base_run.stats.snapshot())
-        merged.merge(delta_stats)
-        spans = [
-            Span("base-store", QueryStats(**base_run.stats.snapshot()),
-                 base_run.cost, children=[base_run.trace.root]),
-            Span("wos-merge", QueryStats(**delta_stats.snapshot()),
-                 self.cost_model.cost(delta_stats)),
-        ]
-        root = Span("query", QueryStats(**merged.snapshot()),
-                    self.cost_model.cost(merged), children=spans)
-        trace = Trace(root).verify(merged)
-        return ColumnStoreRun(result, merged, self.cost_model.cost(merged),
-                              trace=trace,
-                              shard_report=base_run.shard_report)
 
     def _plan_recovery(self, error: ChecksumError, forbidden: set,
                        recoveries: int) -> Tuple[set, int]:
@@ -440,166 +323,15 @@ class CStore:
             detail="no redundant projection covers this file",
         ) from error
 
-    # ------------------------------------------------------------------ #
-    # writes: WOS delegation and the tuple mover
-    # ------------------------------------------------------------------ #
-    def _write_store(self):
-        if self._writes is None:
-            from ..write.store import WriteStore
+    def _refresh_sidecars(self, report, tracer: Optional[Tracer]) -> None:
+        # the scrubber's stale-synopsis pass re-derives any sidecar whose
+        # stamp trails the recovered epoch (row-store heap sidecars are
+        # re-stamped wholesale by the recovery rebuild)
+        from ..scrub import rebuild_stale_synopses
 
-            self._writes = WriteStore(dict(self.data.tables))
-            # journal faults come from the same injector as data faults
-            self._writes.journal.disk.fault_injector = \
-                self.disk.fault_injector
-        return self._writes
-
-    def insert(self, table: str, rows, stats: Optional[QueryStats] = None,
-               tracer: Optional[Tracer] = None) -> int:
-        """Validate, journal, and buffer ``rows`` into the WOS.
-        All-or-nothing; returns rows accepted."""
-        if stats is None:
-            stats = QueryStats()
-        return self._write_store().insert(table, rows, stats, tracer)
-
-    def delete(self, table: str, predicates,
-               stats: Optional[QueryStats] = None,
-               tracer: Optional[Tracer] = None) -> int:
-        """Mark matching rows deleted as of a fresh epoch (dimension
-        deletes are RESTRICTed while referenced).  Returns rows marked."""
-        if stats is None:
-            stats = QueryStats()
-        return self._write_store().delete(table, predicates, stats, tracer)
-
-    def pending_writes(self) -> int:
-        """Rows the tuple mover would merge right now (0 = clean)."""
-        return 0 if self._writes is None else self._writes.pending_rows()
-
-    def snapshot_tables(self):
-        """The tables a reference oracle should replay: the current base
-        merged with any pending delta (post-move, the adopted base)."""
-        if self._writes is None:
-            return self.data.tables
-        return self._writes.effective_tables()
-
-    @property
-    def write_epoch(self) -> int:
-        return 0 if self._writes is None else self._writes.epoch
-
-    def move(self, stats: Optional[QueryStats] = None,
-             tracer: Optional[Tracer] = None) -> int:
-        """The tuple mover: drain the WOS into fresh base pages.
-
-        Builds a complete shadow engine from the effective tables (the
-        cold-rebuild order, so post-move reads are byte-identical to a
-        rebuild), retrying transient write faults with the journal's
-        backoff schedule, then swaps it in atomically and advances the
-        merge horizon.  All shadow-build I/O is charged to ``stats``
-        under a ``tuple-move`` span.  On failure the serving store is
-        untouched.  Returns the number of rows merged.
-        """
-        ws = self._writes
-        if ws is None or not ws.has_pending():
-            return 0
-        if stats is None:
-            stats = QueryStats()
-        from ..simio.faults import (CRASH_AFTER_MOVE_SWAP,
-                                    CRASH_BEFORE_MOVE_SWAP, crash_point)
-
-        moved = ws.pending_rows()
-        effective = ws.effective_tables()
-        with span_context(tracer, "tuple-move"):
-            shadow = self._rebuild_from_effective(effective, ws.epoch, stats,
-                                                  crash_points=True)
-            stats.merge(shadow.disk.stats)
-            # the move record is the swap's commit point: a crash before
-            # it leaves orphan shadow pages recovery discards, a crash
-            # after it is a completed move recovery rolls forward
-            crash_point(self.disk.fault_injector, CRASH_BEFORE_MOVE_SWAP)
-            ws.journal.append({"op": "move", "epoch": ws.epoch,
-                               "rows": moved}, stats, tracer)
-            crash_point(self.disk.fault_injector, CRASH_AFTER_MOVE_SWAP)
-            self._adopt_shadow(shadow)
-            ws.complete_move(effective)
-            self._zm_epoch = ws.epoch
-            stats.moves += 1
-        return moved
-
-    def _rebuild_from_effective(self, effective: Dict[str, Table],
-                                epoch: int, stats: QueryStats,
-                                crash_points: bool = False) -> "CStore":
-        """Build (and epoch-stamp) a complete shadow engine from the
-        effective tables, retrying transient write faults with the
-        journal's backoff schedule.  Shared by the tuple mover and by
-        cold-start recovery; only the mover arms the mid-shadow kill
-        point (recovery re-running this path must not re-crash)."""
-        from ..errors import TransientIOError, WriteFaultError
-        from ..simio.buffer_pool import _backoff_us
-        from ..simio.faults import CRASH_MID_MOVE_SHADOW, crash_point
-        from ..synopsis import stamp_sidecars
-        from ..write.journal import MAX_WRITE_RETRIES
-
-        data = SsbData(
-            scale_factor=self.data.scale_factor,
-            seed=self.data.seed,
-            lineorder=effective["lineorder"],
-            customer=effective["customer"],
-            supplier=effective["supplier"],
-            part=effective["part"],
-            date=effective["date"],
-        )
-        for attempt in range(1, MAX_WRITE_RETRIES + 1):
-            try:
-                shadow = CStore(
-                    data, levels=self._levels,
-                    row_mv=bool(self._row_mv),
-                    cost_model=self.cost_model,
-                    buffer_pool_bytes=self._pool_bytes,
-                    fault_injector=self.disk.fault_injector)
-                if crash_points:
-                    # dies with shadow pages built but unstamped and no
-                    # move record: pure orphans, discarded on recovery
-                    crash_point(self.disk.fault_injector,
-                                CRASH_MID_MOVE_SHADOW)
-                # stamp the shadow's sidecars with the merged epoch
-                # so the scrubber can tell drift from pending delta
-                stamp_sidecars(shadow.disk, epoch)
-                return shadow
-            except TransientIOError as exc:
-                stats.io_retries += 1
-                stats.retry_backoff_us += _backoff_us(attempt)
-                if attempt == MAX_WRITE_RETRIES:
-                    raise WriteFaultError(
-                        f"tuple move failed after {MAX_WRITE_RETRIES} "
-                        f"shadow-build attempts: {exc}"
-                    ) from exc
-
-    def _adopt_shadow(self, shadow: "CStore") -> None:
-        """Atomically swap the shadow engine's storage in as our own."""
-        self.data = shadow.data
-        self.disk = shadow.disk
-        self.pool = shadow.pool
-        self._projections = shadow._projections
-        self._tables = shadow._tables
-        self._contiguous = shadow._contiguous
-        self._monotonic = shadow._monotonic
-        self._row_mv = shadow._row_mv
-        self._shard_sets = {}
-        self.disk.stats = QueryStats()
-
-    def recover(self, journal=None, committed_lsn: Optional[int] = None,
-                stats: Optional[QueryStats] = None,
-                tracer: Optional[Tracer] = None):
-        """Cold-start crash recovery: replay the redo journal against the
-        genesis tables, roll a committed move forward, refresh stale
-        zone-map sidecars, and adopt the recovered write store.  Returns
-        a :class:`~repro.write.recovery.RecoveryReport`; see
-        ``docs/writes.md`` ("Crash recovery")."""
-        from ..write.recovery import recover_engine
-
-        return recover_engine(self, journal, committed_lsn, stats, tracer)
-
-    def storage_bytes(self) -> int:
-        return self.disk.total_bytes
+        with span_context(tracer, "stale-synopsis"):
+            report.stale_sidecars, report.behind_delta = \
+                rebuild_stale_synopses(self)
 
     def projection(self, table: str, level: CompressionLevel) -> Projection:
         return self._context().projection(table, level)

@@ -23,6 +23,17 @@ from typing import Optional, Tuple
 from ..errors import PlanError
 
 
+def validate_layout(shards: int, move_threshold_rows: Optional[int]) -> None:
+    """The shard-count and tuple-mover-threshold checks, shared with
+    ``SystemX``, which takes both as constructor arguments."""
+    if shards < 1:
+        raise PlanError(f"shards must be >= 1, got {shards}")
+    if move_threshold_rows is not None and move_threshold_rows < 1:
+        raise PlanError(
+            f"move_threshold_rows must be >= 1, got {move_threshold_rows}"
+        )
+
+
 @dataclass(frozen=True)
 class ExecutionConfig:
     """Which column-store optimizations are active."""
@@ -93,14 +104,7 @@ class ExecutionConfig:
             raise PlanError(
                 f"morsel_rows must be >= 1, got {self.morsel_rows}"
             )
-        if self.shards < 1:
-            raise PlanError(f"shards must be >= 1, got {self.shards}")
-        if self.move_threshold_rows is not None \
-                and self.move_threshold_rows < 1:
-            raise PlanError(
-                f"move_threshold_rows must be >= 1, got "
-                f"{self.move_threshold_rows}"
-            )
+        validate_layout(self.shards, self.move_threshold_rows)
 
     @property
     def label(self) -> str:

@@ -14,14 +14,19 @@ measured counts to simulated seconds with the shared
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..errors import ChecksumError, CorruptPageError, PlanError, WriteError
-from ..obs import Span, Trace, Tracer, span_context
+from ..core.config import validate_layout
+from ..core.host import (
+    PAPER_BUFFER_POOL_BYTES,
+    EngineHost,
+    scaled_bytes,
+    split_bytes,
+)
+from ..errors import ChecksumError, CorruptPageError, PlanError
+from ..obs import Trace, Tracer
 from ..plan.logical import StarQuery
 from ..result import ResultSet
-from ..simio.buffer_pool import BufferPool
-from ..simio.disk import SimulatedDisk
 from ..simio.stats import CostBreakdown, CostModel, QueryStats
 from ..simio.stats import PAPER_2008
 from ..ssb.generator import SsbData
@@ -31,10 +36,7 @@ from .planner import RowPlanner
 from .statistics import CatalogStatistics
 
 #: Paper configuration at SF 10 (Section 6.2), scaled by sf/10 at runtime.
-PAPER_BUFFER_POOL_BYTES = 500 * 1024 * 1024
 PAPER_JOIN_MEMORY_BYTES = 3 * 512 * 1024 * 1024  # "1.5 GB maximum memory"
-PAPER_SCALE_FACTOR = 10.0
-MIN_POOL_BYTES = 8 * 32 * 1024
 
 
 @dataclass
@@ -55,7 +57,7 @@ class RowStoreRun:
         return self.cost.total_seconds
 
 
-class SystemX:
+class SystemX(EngineHost):
     """A commercial-style row store over the simulated disk.
 
     Parameters
@@ -87,6 +89,14 @@ class SystemX:
         :class:`~repro.errors.WriteError` rather than answering wrong.
     """
 
+    _storage_attrs = EngineHost._storage_attrs + (
+        "statistics", "artifacts", "_built")
+    _run_class = RowStoreRun
+    _writes_switch = "SystemX(writes=)"
+    # rebound in the class body: perfbench/tracing.py wraps methods per
+    # class, so each traced one must live in SystemX.__dict__
+    move = EngineHost.move
+
     def __init__(
         self,
         data: SsbData,
@@ -100,14 +110,9 @@ class SystemX:
         move_threshold_rows: Optional[int] = None,
         fault_injector=None,
     ) -> None:
-        if shards < 1:
-            raise PlanError(f"shards must be >= 1, got {shards}")
-        if move_threshold_rows is not None and move_threshold_rows < 1:
-            raise PlanError(
-                f"move_threshold_rows must be >= 1, got {move_threshold_rows}"
-            )
-        self.data = data
-        self.cost_model = cost_model
+        validate_layout(shards, move_threshold_rows)
+        super().__init__(data, cost_model, buffer_pool_bytes,
+                         fault_injector)
         self.zone_maps = zone_maps
         self.shards = shards
         self.writes = writes
@@ -116,30 +121,8 @@ class SystemX:
         #: Engine-level, like ``writes`` — System X has no per-query
         #: config object.
         self.move_threshold_rows = move_threshold_rows
-        #: [(FactShard, child SystemX)], built lazily on first sharded run
-        self._shard_children: Optional[List[Tuple[object, "SystemX"]]] = None
-        #: lazily created delta store (first accepted write); None means
-        #: this engine has never seen a write
-        self._writes = None
-        #: write epoch the current artifacts (and their zone-map
-        #: sidecars) reflect; bumped by the tuple mover
-        self._zm_epoch = 0
-        scale = data.scale_factor / PAPER_SCALE_FACTOR
-        if buffer_pool_bytes is None:
-            buffer_pool_bytes = max(MIN_POOL_BYTES,
-                                    int(PAPER_BUFFER_POOL_BYTES * scale))
         if join_memory_bytes is None:
-            join_memory_bytes = max(MIN_POOL_BYTES,
-                                    int(PAPER_JOIN_MEMORY_BYTES * scale))
-        self._pool_bytes = buffer_pool_bytes
-        #: the tables this engine was opened with — cold-start replay
-        #: always re-applies the journal against these, never against a
-        #: possibly-moved current base, so recovery is idempotent
-        self._genesis_tables = dict(data.tables)
-        self.disk = SimulatedDisk()
-        # installed before any build so shadow rebuilds are fault-injectable
-        self.disk.fault_injector = fault_injector
-        self.pool = BufferPool(self.disk, buffer_pool_bytes)
+            join_memory_bytes = scaled_bytes(PAPER_JOIN_MEMORY_BYTES, data)
         self.join_memory_bytes = join_memory_bytes
         # ANALYZE at load time: the planner orders joins from these
         self.statistics = CatalogStatistics(data.tables)
@@ -167,13 +150,31 @@ class SystemX:
         if design is DesignKind.INDEX_ONLY:
             builder.build_indexes(self.artifacts)
         self._built.add(design)
-        if self._shard_children is not None:
-            for _shard, child in self._shard_children:
-                child.add_design(design)
+        for child in self._shard_engines():
+            child.add_design(design)
+
+    def _sibling(self, data: SsbData,
+                 shards: Optional[int] = None) -> "SystemX":
+        return SystemX(data, designs=self.designs,
+                       cost_model=self.cost_model,
+                       buffer_pool_bytes=split_bytes(self._pool_bytes,
+                                                     shards),
+                       join_memory_bytes=split_bytes(self.join_memory_bytes,
+                                                     shards),
+                       zone_maps=self.zone_maps,
+                       fault_injector=(None if shards
+                                       else self.disk.fault_injector))
 
     @property
     def designs(self) -> List[DesignKind]:
         return sorted(self._built, key=lambda d: d.value)
+
+    def _require_design(self, design: DesignKind) -> None:
+        if design not in self._built:
+            raise PlanError(
+                f"design {design.value} was not built; available: "
+                f"{[d.value for d in self.designs]}"
+            )
 
     def execute(
         self,
@@ -210,37 +211,15 @@ class SystemX:
         ``writes`` flag; a read-only engine with pending writes raises
         :class:`~repro.errors.WriteError` rather than answering wrong.
         """
-        if design not in self._built:
-            raise PlanError(
-                f"design {design.value} was not built; available: "
-                f"{[d.value for d in self.designs]}"
-            )
-        ws = self._writes
-        if (_visibility is None and ws is not None and self.writes
-                and self.move_threshold_rows is not None
-                and ws.pending_rows() > self.move_threshold_rows):
-            # automatic tuple-mover policy: drain on its own ledger so
-            # the query's ledger only ever carries query work
-            self.move()
-        if _visibility is None and ws is not None and ws.has_pending():
-            if not self.writes:
-                raise WriteError(
-                    "engine holds pending writes; enable SystemX(writes=) "
-                    "or run the tuple mover first"
-                )
-            vis = ws.visibility()
-            if vis.needs_merge:
-                return self._execute_merge(
-                    query, design, prune_partitions=prune_partitions,
-                    vp_join=vp_join, vp_super_tuples=vp_super_tuples,
-                    cold_pool=cold_pool, cancellation=cancellation, vis=vis)
-            _visibility = vis
-        if self.shards > 1:
-            return self._execute_sharded(
-                query, design, prune_partitions=prune_partitions,
-                vp_join=vp_join, vp_super_tuples=vp_super_tuples,
-                cold_pool=cold_pool, cancellation=cancellation,
-                visibility=_visibility)
+        self._require_design(design)
+        return self._execute(
+            query, (design, prune_partitions, vp_join, vp_super_tuples),
+            self, cold_pool, cancellation, _visibility)
+
+    def _execute_single(self, query: StarQuery, options: tuple,
+                        cold_pool: bool, cancellation,
+                        visibility) -> RowStoreRun:
+        design, prune_partitions, vp_join, vp_super_tuples = options
         if vp_super_tuples and not self.artifacts.vp_super_heaps:
             DesignBuilder(self.disk, self.data) \
                 .build_super_vertical_partitions(self.artifacts)
@@ -258,7 +237,7 @@ class SystemX:
         planner = RowPlanner(self.pool, self.artifacts, self.data, spill,
                              statistics=self.statistics, tracer=tracer,
                              zone_maps=self.zone_maps,
-                             visibility=_visibility)
+                             visibility=visibility)
         saved_cancellation = self.disk.cancellation
         if cancellation is not None:
             self.disk.cancellation = cancellation
@@ -281,284 +260,6 @@ class SystemX:
         return RowStoreRun(result, stats, self.cost_model.cost(stats),
                            trace=trace)
 
-    # ------------------------------------------------------------------ #
-    # sharded execution
-    # ------------------------------------------------------------------ #
-    def shard_children(self) -> List[Tuple[object, "SystemX"]]:
-        """The shard set behind ``shards > 1``: each entry pairs a
-        :class:`~repro.shard.partition.FactShard` with a complete child
-        ``SystemX`` on its own simulated disk array.  Built once and
-        reused across queries."""
-        if self._shard_children is not None:
-            return self._shard_children
-        from ..shard.partition import ShardScheme, partition_data
-
-        scheme = (ShardScheme.RANGE
-                  if self.data.lineorder.sort_order.sorted_prefix_of(
-                      "orderdate")
-                  else ShardScheme.HASH)
-        child_pool = max(MIN_POOL_BYTES, self._pool_bytes // self.shards)
-        child_join = max(MIN_POOL_BYTES,
-                         self.join_memory_bytes // self.shards)
-        self._shard_children = [
-            (shard, SystemX(shard.data, designs=self.designs,
-                            cost_model=self.cost_model,
-                            buffer_pool_bytes=child_pool,
-                            join_memory_bytes=child_join,
-                            zone_maps=self.zone_maps))
-            for shard in partition_data(self.data, self.shards, scheme)
-        ]
-        return self._shard_children
-
-    def _execute_sharded(
-        self,
-        query: StarQuery,
-        design: DesignKind,
-        *,
-        prune_partitions: bool,
-        vp_join: str,
-        vp_super_tuples: bool,
-        cold_pool: bool,
-        cancellation,
-        visibility=None,
-    ) -> RowStoreRun:
-        from ..shard.executor import scatter_gather
-
-        children = self.shard_children()
-
-        def execute_one(k: int, shard_query: StarQuery) -> RowStoreRun:
-            child_vis = None
-            if visibility is not None and visibility.needs_patching:
-                # slice the database-wide deleted mask down to this
-                # shard's fact rows (shard positions index the unsharded
-                # fact table)
-                from ..write.store import Visibility
-
-                shard = children[k][0]
-                mask = visibility.fact_deleted[shard.positions]
-                if bool(mask.any()):
-                    child_vis = Visibility(
-                        epoch=visibility.epoch, store=visibility.store,
-                        fact_deleted=mask)
-            return children[k][1].execute(
-                shard_query, design, prune_partitions=prune_partitions,
-                vp_join=vp_join, vp_super_tuples=vp_super_tuples,
-                cold_pool=cold_pool, cancellation=cancellation,
-                _visibility=child_vis)
-
-        result, stats, trace, report = scatter_gather(
-            query, [shard.synopsis for shard, _engine in children],
-            self.data.date, execute_one, self.cost_model)
-        return RowStoreRun(result, stats, self.cost_model.cost(stats),
-                           trace=trace, shard_report=report)
-
-    # ------------------------------------------------------------------ #
-    # snapshot reads over pending inserts (WOS merge)
-    # ------------------------------------------------------------------ #
-    def _execute_merge(
-        self,
-        query: StarQuery,
-        design: DesignKind,
-        *,
-        prune_partitions: bool,
-        vp_join: str,
-        vp_super_tuples: bool,
-        cold_pool: bool,
-        cancellation,
-        vis,
-    ) -> RowStoreRun:
-        """Base run plus a WOS delta partial, combined like one more
-        shard.  The scatter rewrite makes the partials mergeable (AVG as
-        SUM+COUNT, hidden row counts for scalar MIN/MAX), and the merged
-        trace carries the delta's compute under a ``wos-merge`` span."""
-        from ..shard.executor import gather, shard_plan
-        from ..write.delta import delta_partial
-
-        spec = shard_plan(query)
-        base_run = self.execute(
-            spec.shard_query, design, prune_partitions=prune_partitions,
-            vp_join=vp_join, vp_super_tuples=vp_super_tuples,
-            cold_pool=cold_pool, cancellation=cancellation, _visibility=vis)
-        delta_stats = QueryStats()
-        partial = delta_partial(spec.shard_query, vis.delta_tables(),
-                                delta_stats)
-        result = gather(query, spec, [base_run.result, partial])
-        merged = QueryStats(**base_run.stats.snapshot())
-        merged.merge(delta_stats)
-        spans = [
-            Span("base-store", QueryStats(**base_run.stats.snapshot()),
-                 base_run.cost, children=[base_run.trace.root]),
-            Span("wos-merge", QueryStats(**delta_stats.snapshot()),
-                 self.cost_model.cost(delta_stats)),
-        ]
-        root = Span("query", QueryStats(**merged.snapshot()),
-                    self.cost_model.cost(merged), children=spans)
-        trace = Trace(root).verify(merged)
-        return RowStoreRun(result, merged, self.cost_model.cost(merged),
-                           trace=trace, shard_report=base_run.shard_report)
-
-    # ------------------------------------------------------------------ #
-    # writes: WOS delegation and the tuple mover
-    # ------------------------------------------------------------------ #
-    def _write_store(self):
-        if self._writes is None:
-            from ..write.store import WriteStore
-
-            self._writes = WriteStore(dict(self.data.tables))
-            # journal faults come from the same injector as data faults
-            self._writes.journal.disk.fault_injector = \
-                self.disk.fault_injector
-        return self._writes
-
-    def insert(self, table: str, rows, stats: Optional[QueryStats] = None,
-               tracer: Optional[Tracer] = None) -> int:
-        """Validate, journal, and buffer ``rows`` into the WOS.
-        All-or-nothing; returns rows accepted."""
-        if stats is None:
-            stats = QueryStats()
-        return self._write_store().insert(table, rows, stats, tracer)
-
-    def delete(self, table: str, predicates,
-               stats: Optional[QueryStats] = None,
-               tracer: Optional[Tracer] = None) -> int:
-        """Mark matching rows deleted as of a fresh epoch (dimension
-        deletes are RESTRICTed while referenced).  Returns rows marked."""
-        if stats is None:
-            stats = QueryStats()
-        return self._write_store().delete(table, predicates, stats, tracer)
-
-    def pending_writes(self) -> int:
-        """Rows the tuple mover would merge right now (0 = clean)."""
-        return 0 if self._writes is None else self._writes.pending_rows()
-
-    @property
-    def write_epoch(self) -> int:
-        return 0 if self._writes is None else self._writes.epoch
-
-    def move(self, stats: Optional[QueryStats] = None,
-             tracer: Optional[Tracer] = None) -> int:
-        """The tuple mover: drain the WOS into fresh design artifacts.
-
-        Builds a complete shadow engine from the effective tables (the
-        cold-rebuild order, so post-move reads are byte-identical to a
-        rebuild), retrying transient write faults with the journal's
-        backoff schedule, then swaps it in atomically and advances the
-        merge horizon.  All shadow-build I/O is charged to ``stats``
-        under a ``tuple-move`` span.  On failure the serving store is
-        untouched.  Returns the number of rows merged.
-        """
-        ws = self._writes
-        if ws is None or not ws.has_pending():
-            return 0
-        if stats is None:
-            stats = QueryStats()
-        from ..simio.faults import (CRASH_AFTER_MOVE_SWAP,
-                                    CRASH_BEFORE_MOVE_SWAP, crash_point)
-
-        moved = ws.pending_rows()
-        effective = ws.effective_tables()
-        with span_context(tracer, "tuple-move"):
-            shadow = self._rebuild_from_effective(effective, ws.epoch, stats,
-                                                  crash_points=True)
-            stats.merge(shadow.disk.stats)
-            # the move record is the swap's commit point: a crash before
-            # it leaves orphan shadow pages recovery discards, a crash
-            # after it is a completed move recovery rolls forward
-            crash_point(self.disk.fault_injector, CRASH_BEFORE_MOVE_SWAP)
-            ws.journal.append({"op": "move", "epoch": ws.epoch,
-                               "rows": moved}, stats, tracer)
-            crash_point(self.disk.fault_injector, CRASH_AFTER_MOVE_SWAP)
-            self._adopt_shadow(shadow)
-            ws.complete_move(effective)
-            self._zm_epoch = ws.epoch
-            stats.moves += 1
-        return moved
-
-    def _rebuild_from_effective(self, effective, epoch: int,
-                                stats: QueryStats,
-                                crash_points: bool = False) -> "SystemX":
-        """Build (and epoch-stamp) a complete shadow engine from the
-        effective tables, retrying transient write faults with the
-        journal's backoff schedule.  Shared by the tuple mover and by
-        cold-start recovery; only the mover arms the mid-shadow kill
-        point (recovery re-running this path must not re-crash)."""
-        from ..errors import TransientIOError, WriteFaultError
-        from ..simio.buffer_pool import _backoff_us
-        from ..simio.faults import CRASH_MID_MOVE_SHADOW, crash_point
-        from ..synopsis import stamp_sidecars
-        from ..write.journal import MAX_WRITE_RETRIES
-
-        data = SsbData(
-            scale_factor=self.data.scale_factor,
-            seed=self.data.seed,
-            lineorder=effective["lineorder"],
-            customer=effective["customer"],
-            supplier=effective["supplier"],
-            part=effective["part"],
-            date=effective["date"],
-        )
-        for attempt in range(1, MAX_WRITE_RETRIES + 1):
-            try:
-                shadow = SystemX(
-                    data, designs=self.designs,
-                    cost_model=self.cost_model,
-                    buffer_pool_bytes=self._pool_bytes,
-                    join_memory_bytes=self.join_memory_bytes,
-                    zone_maps=self.zone_maps,
-                    writes=self.writes,
-                    fault_injector=self.disk.fault_injector)
-                if crash_points:
-                    # dies with shadow pages built but unstamped and no
-                    # move record: pure orphans, discarded on recovery
-                    crash_point(self.disk.fault_injector,
-                                CRASH_MID_MOVE_SHADOW)
-                # stamp the shadow's sidecars with the merged epoch
-                # so the scrubber can tell drift from pending delta
-                stamp_sidecars(shadow.disk, epoch)
-                return shadow
-            except TransientIOError as exc:
-                stats.io_retries += 1
-                stats.retry_backoff_us += _backoff_us(attempt)
-                if attempt == MAX_WRITE_RETRIES:
-                    raise WriteFaultError(
-                        f"tuple move failed after {MAX_WRITE_RETRIES} "
-                        f"shadow-build attempts: {exc}"
-                    ) from exc
-
-    def _adopt_shadow(self, shadow: "SystemX") -> None:
-        """Atomically swap the shadow engine's storage in as our own."""
-        self.data = shadow.data
-        self.disk = shadow.disk
-        self.pool = shadow.pool
-        self.statistics = shadow.statistics
-        self.artifacts = shadow.artifacts
-        self._built = shadow._built
-        self._shard_children = None
-        self.disk.stats = QueryStats()
-
-    def snapshot_tables(self):
-        """The tables a reference oracle should replay: the current base
-        merged with any pending delta (post-move, the adopted base)."""
-        if self._writes is None:
-            return self.data.tables
-        return self._writes.effective_tables()
-
-    def recover(self, journal=None, committed_lsn: Optional[int] = None,
-                stats: Optional[QueryStats] = None,
-                tracer: Optional[Tracer] = None):
-        """Cold-start crash recovery: replay the redo journal against the
-        genesis tables, roll a committed move forward, refresh stale
-        zone-map sidecars, and adopt the recovered write store.  Returns
-        a :class:`~repro.write.recovery.RecoveryReport`; see
-        ``docs/writes.md`` ("Crash recovery")."""
-        from ..write.recovery import recover_engine
-
-        return recover_engine(self, journal, committed_lsn, stats, tracer)
-
-    def storage_bytes(self) -> int:
-        """Total simulated disk occupied by all built artifacts."""
-        return self.disk.total_bytes
-
     def explain(self, query: StarQuery, design: DesignKind,
                 prune_partitions: bool = True, analyze: bool = False) -> str:
         """Describe the plan ``design`` would execute for ``query``
@@ -568,11 +269,7 @@ class SystemX:
         ledger and appends the observed per-phase span tree."""
         from .explain import explain as _explain, render_span_section
 
-        if design not in self._built:
-            raise PlanError(
-                f"design {design.value} was not built; available: "
-                f"{[d.value for d in self.designs]}"
-            )
+        self._require_design(design)
         text = _explain(self.data, self.artifacts, query, design,
                         prune_partitions=prune_partitions)
         if analyze:

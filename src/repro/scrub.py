@@ -210,7 +210,7 @@ def _repair_sidecar(store, file_name: str, page_no: int) -> bool:
     # moved stores stamp their sidecars with the merged write epoch; the
     # deterministic rebuild must carry the same trailer to reproduce the
     # original page bytes
-    blob = stamp_blob(blob, getattr(store, "_zm_epoch", 0))
+    blob = stamp_blob(blob, store.base_epoch)
     payload = blob[page_no * PAGE_SIZE:(page_no + 1) * PAGE_SIZE]
     if page_checksum(payload) != disk.expected_checksum(file_name, page_no):
         return False
@@ -314,7 +314,7 @@ def _rebuild_stale_synopses(store) -> Tuple[int, int]:
     rebuilt = 0
     behind = 0
     pending_epoch = 0
-    if getattr(store, "pending_writes", None) and store.pending_writes():
+    if store.pending_writes():
         pending_epoch = store.write_epoch
     for data_name in disk.files():
         if is_sidecar(data_name):

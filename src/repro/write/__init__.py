@@ -16,7 +16,6 @@ from .journal import JOURNAL_FILE, MAX_WRITE_RETRIES, RedoJournal
 from .recovery import (
     CrashHarness,
     RecoveryReport,
-    recover_engine,
     recover_store,
     scan_journal,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "projection_deleted_positions",
     "CrashHarness",
     "RecoveryReport",
-    "recover_engine",
     "recover_store",
     "scan_journal",
 ]

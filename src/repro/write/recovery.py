@@ -14,12 +14,10 @@ module closes the loop:
   tail, rolls a durable ``move`` record forward, and raises a typed
   :class:`~repro.errors.JournalTornError` only when a *committed* LSN is
   missing — an acknowledged write would otherwise be silently lost;
-* :func:`recover_engine` (reached via ``CStore.recover()`` /
-  ``SystemX.recover()``) adopts the recovered write store, rebuilds the
-  engine's base storage when a rolled-forward move left the serving
-  pages behind the merge horizon, and re-derives zone-map sidecars whose
-  epoch stamp trails the recovered epoch by reusing the scrubber's
-  stale-synopsis pass;
+* the engines' shared ``recover()`` (:class:`~repro.core.host.EngineHost`)
+  adopts the recovered write store, rebuilds the engine's base storage
+  when a rolled-forward move left the serving pages behind the merge
+  horizon, and re-derives stale zone-map sidecars;
 * :class:`CrashHarness` drives the whole cycle deterministically: armed
   :class:`~repro.simio.faults.CrashPolicy` kill points "kill" the
   process mid-write, the harness discards every in-memory structure and
@@ -205,64 +203,6 @@ def recover_store(base_tables: Dict[str, Table], journal: RedoJournal,
     return ws, report
 
 
-def recover_engine(engine, journal: Optional[RedoJournal] = None,
-                   committed_lsn: Optional[int] = None,
-                   stats: Optional[QueryStats] = None,
-                   tracer: Optional[Tracer] = None) -> RecoveryReport:
-    """Cold-start recovery for one engine (CStore or SystemX).
-
-    Replays ``journal`` (default: the engine's own, when it has ever
-    written) against the engine's *genesis* tables — never the current,
-    possibly-moved base, which is what makes recovering twice a no-op —
-    then:
-
-    * adopts the recovered write store (pending rows serve as ordinary
-      snapshot reads);
-    * when a rolled-forward move advanced the merge horizon past the
-      epoch the serving pages reflect, rebuilds base storage from the
-      recovered effective tables through the same shadow-build path the
-      tuple mover uses (kill points disarmed: recovery never re-crashes);
-    * for the column store, re-derives any zone-map sidecar whose epoch
-      stamp trails the recovered epoch, reusing the scrubber's
-      stale-synopsis pass.
-
-    All I/O is charged to ``stats`` through the cost model.  A clean
-    start (no journal, or an empty one) touches nothing and reports all
-    zeros.
-    """
-    if stats is None:
-        stats = QueryStats()
-    if journal is None and engine._writes is not None:
-        journal = engine._writes.journal
-    if journal is None:
-        return RecoveryReport()  # never wrote: nothing to recover
-    ws, report = recover_store(dict(engine._genesis_tables), journal,
-                               committed_lsn, stats, tracer)
-    ws.journal.disk.fault_injector = engine.disk.fault_injector
-    engine._writes = ws
-    if ws.horizon > 0 and engine._zm_epoch != ws.horizon:
-        # a committed move's pages died with the process: roll it
-        # forward by rebuilding from the recovered effective tables
-        effective = {n: ws.base_table(n) for n in ws.table_names()}
-        with span_context(tracer, "recovery-rebuild"):
-            shadow = engine._rebuild_from_effective(effective, ws.horizon,
-                                                    stats)
-            stats.merge(shadow.disk.stats)
-            engine._adopt_shadow(shadow)
-        engine._zm_epoch = ws.horizon
-    if hasattr(engine, "_projections"):
-        # column store: the scrubber's stale-synopsis pass re-derives
-        # any sidecar whose stamp trails the recovered epoch (heap
-        # sidecars are re-stamped wholesale by the rebuild above)
-        from ..scrub import rebuild_stale_synopses
-
-        with span_context(tracer, "stale-synopsis"):
-            rebuilt, behind = rebuild_stale_synopses(engine)
-        report.stale_sidecars = rebuilt
-        report.behind_delta = behind
-    return report
-
-
 # --------------------------------------------------------------------- #
 # the crash/restart harness
 # --------------------------------------------------------------------- #
@@ -387,4 +327,4 @@ class CrashHarness:
 
 
 __all__ = ["JournalRecord", "RecoveryReport", "scan_journal",
-           "recover_store", "recover_engine", "CrashHarness"]
+           "recover_store", "CrashHarness"]

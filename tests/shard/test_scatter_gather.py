@@ -144,8 +144,10 @@ def test_config_rejects_bad_shard_count():
 
 
 def test_rowstore_ctor_rejects_bad_shard_count(ssb_data):
-    with pytest.raises(PlanError):
-        SystemX(ssb_data, designs=[DesignKind.TRADITIONAL], shards=0)
+    # the same validator ExecutionConfig uses, so the same bad values
+    for bad in ({"shards": 0}, {"move_threshold_rows": 0}):
+        with pytest.raises(PlanError):
+            SystemX(ssb_data, designs=[DesignKind.TRADITIONAL], **bad)
 
 
 def test_shard_children_built_once(cstore):

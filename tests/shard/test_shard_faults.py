@@ -84,7 +84,7 @@ def test_rowstore_shard_corruption_is_typed(ssb_data):
                      shards=SHARDS)
     q11, q12 = _query("Q1.1"), _query("Q1.2")
     clean_q12 = engine.execute(q12, DesignKind.TRADITIONAL).result.rows
-    children = engine.shard_children()
+    children = engine.shard_children(SHARDS)
     # the row store has no redundant copies: corruption in an executed
     # shard must surface typed, never as a wrong merged row
     heap_files = [name for name in children[0][1].disk.files()
