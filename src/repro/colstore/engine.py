@@ -11,7 +11,7 @@ partitioning, so Row-MV scans always read every year.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from ..storage.table import Table
 from ..core.config import ExecutionConfig
 from ..core.host import EngineHost, split_bytes
 from ..rowstore.designs import mv_columns_for_flight
-from .operators.aggregate import factorize_groups
-from .operators.materialize import row_pipeline
+from .operators.materialize import DimensionRows, row_pipeline
 from .operators.scan import stored_bounds
 from .planner import ColumnPlanner, StoreContext
 
@@ -336,6 +335,45 @@ class CStore(EngineHost):
     def projection(self, table: str, level: CompressionLevel) -> Projection:
         return self._context().projection(table, level)
 
+    def best_projection(self, query: StarQuery,
+                        level: CompressionLevel) -> Projection:
+        """The fact projection a late-materialization run of ``query``
+        at ``level`` would scan."""
+        return self._context().best_projection(query.fact_table, level,
+                                               query)
+
+    def dimension_rows(self, query: StarQuery, dim: str,
+                       config: ExecutionConfig,
+                       level: Optional[CompressionLevel] = None
+                       ) -> DimensionRows:
+        """``dim`` filtered by ``query``'s predicates, keys sorted, with
+        its group-by attributes — read and charged to the current
+        ledger."""
+        return ColumnPlanner(self._context(), config, level) \
+            .dimension_rows(query, dim)
+
+    def run_from_positions(self, query: StarQuery, config: ExecutionConfig,
+                           level: Optional[CompressionLevel],
+                           projection_name: str, positions,
+                           recheck_columns: Set[str], recheck_dims: Set[str],
+                           dim_rows: Callable[[str], DimensionRows]
+                           ) -> ResultSet:
+        """:meth:`ColumnPlanner.run_from_positions` over fact projection
+        ``projection_name``, on the current ledger, untraced; raises
+        :class:`PlanError` when that projection is no longer usable."""
+        ctx = self._context()
+        planner = ColumnPlanner(ctx, config, level)
+        projection = next(
+            (p for p in ctx.candidates(query.fact_table, planner.level)
+             if p.name == projection_name), None)
+        if projection is None:
+            raise PlanError(
+                f"cached projection {projection_name!r} is no longer "
+                f"usable")
+        return planner.run_from_positions(query, projection, positions,
+                                          recheck_columns, recheck_dims,
+                                          dim_rows)
+
     def explain(
         self,
         query: StarQuery,
@@ -347,11 +385,9 @@ class CStore(EngineHost):
         between-rewrites taken, hash fallbacks, surviving positions."""
         from .explain import explain as _explain
 
-        saved = self.disk.stats
-        self.disk.stats = QueryStats()
         forbidden: set = set()
         recoveries = 0
-        try:
+        with self.disk.charged_to(QueryStats()) as stats:
             while True:
                 try:
                     return _explain(self._context(forbidden), query, config,
@@ -361,9 +397,7 @@ class CStore(EngineHost):
                     # damaged projection or raise CorruptPageError
                     forbidden, recoveries = self._plan_recovery(
                         error, forbidden, recoveries)
-                    self.disk.stats.recoveries = recoveries
-        finally:
-            self.disk.stats = saved
+                    stats.recoveries = recoveries
 
     # ------------------------------------------------------------------ #
     # CS Row-MV (Figure 5)
@@ -438,43 +472,13 @@ class CStore(EngineHost):
             for p in query.fact_predicates()
         ]
         with tracer.span("phase1:dimension-filter"):
-            dims = [planner._dimension_rows_early(query, d)
+            dims = [planner.dimension_rows(query, d)
                     for d in query.dimensions_used()]
         with tracer.span("row-pipeline"):
             group_raw, agg_arrays, _dims = row_pipeline(
                 query, fact_arrays, pred_domains, dims, stats)
 
-        from ..plan.aggregates import (
-            finalize as finalize_agg,
-            reduce_groups,
-            reduce_scalar,
-        )
-
-        agg_funcs = [a.func for a in query.aggregates]
-        if not query.group_by:
-            with tracer.span("aggregate"):
-                cells = [finalize_agg(func, *reduce_scalar(func, values))
-                         for func, values in zip(agg_funcs, agg_arrays)]
-            with tracer.span("sort"):
-                columns = [a.alias for a in query.aggregates]
-                result = ResultSet(columns, [tuple(cells)]).order_by(
-                    query.order_by).limited(query.limit)
-            return ColumnStoreRun(result, stats, self.cost_model.cost(stats),
-                                  trace=tracer.finish(stats))
-
-        with tracer.span("aggregate"):
-            group_arrays: List[np.ndarray] = []
-            planner._group_lookups = []
-            for raw_arr in group_raw:
-                codes, lookup = planner._normalize_group_array(raw_arr)
-                group_arrays.append(codes)
-                planner._group_lookups.append(lookup)
-            matrix = np.stack(group_arrays)
-            uniq, inverse = factorize_groups(matrix)
-            reduced = [reduce_groups(func, values, inverse, uniq.shape[1])
-                       for func, values in zip(agg_funcs, agg_arrays)]
-        with tracer.span("sort"):
-            result = planner._finalize(query, group_arrays, (uniq, reduced))
+        result = planner.aggregate_rows(query, group_raw, agg_arrays)
         return ColumnStoreRun(result, stats, self.cost_model.cost(stats),
                               trace=tracer.finish(stats))
 

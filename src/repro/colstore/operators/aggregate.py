@@ -76,6 +76,22 @@ GroupReduction = Tuple[np.ndarray, Optional[np.ndarray]]
 _I64 = np.iinfo(np.int64)
 
 
+def group_codes(raws: Sequence[np.ndarray]
+                ) -> Tuple[List[np.ndarray], List[Optional[np.ndarray]]]:
+    """Group value arrays as int64 codes, plus one lookup per array:
+    byte strings are factorized (codes index the lookup), other values
+    are their own codes (lookup None)."""
+    codes: List[np.ndarray] = []
+    lookups: List[Optional[np.ndarray]] = []
+    for arr in raws:
+        lookup = None
+        if arr.dtype.kind == "S":
+            lookup, arr = np.unique(arr, return_inverse=True)
+        codes.append(arr.astype(np.int64))
+        lookups.append(lookup)
+    return codes, lookups
+
+
 def factorize_groups(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Unique group keys (lexicographic by row order) and per-row inverse.
 
@@ -218,6 +234,7 @@ __all__ = [
     "scalar_aggregate",
     "grouped_aggregate",
     "factorize_groups",
+    "group_codes",
     "merge_group_reductions",
     "partial_scalar_aggregate",
     "merge_scalar_reductions",

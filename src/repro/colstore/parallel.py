@@ -120,7 +120,6 @@ class MorselEngine:
         self.pool = pool
         self.config = config
         self.workers = config.workers
-        self.morsel_rows = config.morsel_rows
         #: optional span tracer; when set, each barrier records one leaf
         #: span per morsel (private CPU ledger + replayed I/O), in morsel
         #: order, under whatever span the coordinator has open
@@ -153,12 +152,7 @@ class MorselEngine:
         span = hi - lo
         if span <= 0:
             return []
-        if self.morsel_rows is not None:
-            k = -(-span // self.morsel_rows)
-        else:
-            k = self.workers
-        if k <= 1:
-            return [(lo, hi)]
+        k = self.workers
         starts = colfile.block_starts
         ideal = [lo + (span * i) // k for i in range(1, k)]
         idx = np.searchsorted(starts, ideal, side="left")
@@ -338,11 +332,7 @@ class MorselEngine:
         """Row-index chunks for CPU-only morsels over fetched arrays."""
         if n <= 0:
             return []
-        if self.morsel_rows is not None:
-            k = -(-n // self.morsel_rows)
-        else:
-            k = self.workers
-        k = min(k, n)
+        k = min(self.workers, n)
         if k <= 1:
             return [(0, n)]
         edges = [(n * i) // k for i in range(k + 1)]

@@ -14,13 +14,19 @@ decoded string.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..errors import PlanError
 from ..obs import Tracer, span_context
-from ..plan.logical import StarQuery
+from ..plan.aggregates import (
+    finalize as finalize_agg,
+    needs_expr_values,
+    reduce_groups,
+    reduce_scalar,
+)
+from ..plan.logical import StarQuery, expr_columns
 from ..result import ResultSet, Row
 from ..simio.buffer_pool import BufferPool
 from ..simio.stats import QueryStats
@@ -36,10 +42,12 @@ from ..core.invisible_join import (
 from .operators.aggregate import (
     eval_fact_expr,
     factorize_groups,
+    group_codes,
     grouped_aggregate,
     scalar_aggregate,
 )
 from .parallel import MorselEngine, make_engine
+from .positions import ArrayPositions
 from .operators.fetch import fetch_values, read_column
 from .operators.join import gather_attribute
 from .operators.materialize import (
@@ -128,6 +136,28 @@ class StoreContext:
         return self.tables[table].column(column)
 
 
+def _domain_mask(values: np.ndarray, domain, stats: QueryStats
+                 ) -> np.ndarray:
+    """Apply one stored-domain predicate to a fetched value vector."""
+    if isinstance(domain, list):
+        stats.hash_probes += len(values)
+        return np.isin(values, domain)
+    low, high = domain
+    stats.range_checks += len(values)
+    return (values >= low) & (values <= high)
+
+
+def _member_mask(keys: np.ndarray, sorted_keys: np.ndarray,
+                 stats: QueryStats) -> np.ndarray:
+    """Membership of ``keys`` in an ascending key array."""
+    stats.hash_probes += len(keys)
+    if sorted_keys.size == 0:
+        return np.zeros(len(keys), dtype=bool)
+    idx = np.searchsorted(sorted_keys, keys)
+    idx = np.clip(idx, 0, sorted_keys.size - 1)
+    return sorted_keys[idx] == keys
+
+
 class ColumnPlanner:
     """Plans and executes one StarQuery under one configuration."""
 
@@ -147,6 +177,8 @@ class ColumnPlanner:
         #: read with pending deletes patches base-scan positions; None
         #: (every read-only run) leaves all plan paths untouched
         self.visibility = visibility
+        #: morsel engine of the current :meth:`run` (None when serial)
+        self.engine: Optional[MorselEngine] = None
 
     def _deleted_positions(self, query: StarQuery,
                            fact_proj: Projection) -> Optional[np.ndarray]:
@@ -180,7 +212,6 @@ class ColumnPlanner:
         # stays serial by design: its row pipeline is a deliberate
         # reproduction of tuple-at-a-time execution, and parallelizing it
         # would change nothing the paper measures.
-        self.engine: Optional[MorselEngine] = None
         if self.config.late_materialization:
             self.engine = make_engine(self.pool, self.config,
                                       tracer=self.tracer)
@@ -230,25 +261,23 @@ class ColumnPlanner:
     def _finalize(
         self,
         query: StarQuery,
-        group_arrays: List[np.ndarray],
         reduction: Tuple[np.ndarray, List],
+        lookups: List[Optional[np.ndarray]],
     ) -> ResultSet:
-        """Decode group codes, assemble rows, apply ORDER BY."""
-        from ..plan.aggregates import finalize as finalize_agg
-
+        """Decode group codes (through each group column's factor
+        ``lookups`` entry, if any), assemble rows, apply ORDER BY."""
         uniq, reduced = reduction
         columns = [g.column for g in query.group_by] + [
             a.alias for a in query.aggregates
         ]
         decoders = [self._decoder_for(g.table, g.column)
                     for g in query.group_by]
-        lookups = getattr(self, "_group_lookups", None)
         rows: List[Row] = []
         for gi in range(uniq.shape[1]):
             cells: List[object] = []
             for k, decoder in enumerate(decoders):
                 raw = uniq[k, gi]
-                if lookups is not None and lookups[k] is not None:
+                if lookups[k] is not None:
                     raw = lookups[k][int(raw)]
                 if decoder is not None:
                     self.stats.dict_lookups += 1
@@ -262,14 +291,6 @@ class ColumnPlanner:
             rows.append(tuple(cells))
         return ResultSet(columns, rows).order_by(query.order_by).limited(
             query.limit)
-
-    def _normalize_group_array(self, arr: np.ndarray
-                               ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Byte-string group arrays become factor codes + a lookup."""
-        if arr.dtype.kind == "S":
-            lookup, codes = np.unique(arr, return_inverse=True)
-            return codes.astype(np.int64), lookup
-        return arr.astype(np.int64), None
 
     # ------------------------------------------------------------------ #
     # late materialization
@@ -297,8 +318,6 @@ class ColumnPlanner:
             arr = survivors.to_array()
             keep = ~np.isin(arr, deleted)
             if not keep.all():
-                from .positions import ArrayPositions
-
                 survivors = ArrayPositions(arr[keep])
                 dim_rows = {d: rows[keep] for d, rows in dim_rows.items()}
         # kept for EXPLAIN: the join's run-time decisions
@@ -309,13 +328,29 @@ class ColumnPlanner:
         self.last_positions = survivors
         self.last_projection = fact_proj.name
 
-        from ..plan.logical import expr_columns
+        out_of_order = not self.config.invisible_join
 
-        from ..plan.aggregates import needs_expr_values
+        def gather(table: str, column: str) -> np.ndarray:
+            attr_values = read_column(
+                dims[table].projection.column_file(column), self.pool,
+                self.config)
+            return gather_attribute(attr_values, dim_rows[table], self.stats,
+                                    self.config, out_of_order=out_of_order)
 
+        return self._aggregate_at(query, fact_proj, survivors, gather)
+
+    def _aggregate_at(self, query: StarQuery, fact_proj: Projection,
+                      survivors, gather: Callable[[str, str], np.ndarray]
+                      ) -> ResultSet:
+        """The late-materialization tail: fetch aggregate inputs at the
+        surviving positions only, gather group values, reduce, finalize.
+
+        Fact-side group values are fetched at the survivors;
+        ``gather(table, column)`` supplies a dimension group column's
+        values aligned with them, so each caller keeps its own charges.
+        """
         agg_funcs = [a.func for a in query.aggregates]
         with self._span("aggregate"):
-            # aggregate inputs at surviving positions only
             fact_arrays: Dict[str, np.ndarray] = {}
             for agg in query.aggregates:
                 if not needs_expr_values(agg.func):
@@ -339,26 +374,13 @@ class ColumnPlanner:
                 else:
                     cells = scalar_aggregate(agg_arrays, self.stats,
                                              self.config, funcs=agg_funcs)
-                reduction = None
             else:
-                group_arrays: List[np.ndarray] = []
-                self._group_lookups: List[Optional[np.ndarray]] = []
-                out_of_order = not self.config.invisible_join
-                for g in query.group_by:
-                    if g.table == query.fact_table:
-                        raw = self._fetch(fact_proj.column_file(g.column),
-                                          survivors)
-                    else:
-                        side = dims[g.table]
-                        attr_values = read_column(
-                            side.projection.column_file(g.column), self.pool,
-                            self.config)
-                        raw = gather_attribute(attr_values, dim_rows[g.table],
-                                               self.stats, self.config,
-                                               out_of_order=out_of_order)
-                    codes, lookup = self._normalize_group_array(raw)
-                    group_arrays.append(codes)
-                    self._group_lookups.append(lookup)
+                group_arrays, lookups = group_codes([
+                    self._fetch(fact_proj.column_file(g.column), survivors)
+                    if g.table == query.fact_table
+                    else gather(g.table, g.column)
+                    for g in query.group_by
+                ])
                 if self.engine is not None:
                     reduction = self.engine.grouped(group_arrays, agg_arrays,
                                                     funcs=agg_funcs)
@@ -368,19 +390,85 @@ class ColumnPlanner:
                                                   funcs=agg_funcs)
 
         with self._span("sort"):
-            if reduction is None:
+            if not query.group_by:
                 columns = [a.alias for a in query.aggregates]
                 return ResultSet(columns, [tuple(cells)]).order_by(
                     query.order_by).limited(query.limit)
-            result = self._finalize(query, group_arrays, reduction)
-        del self._group_lookups
-        return result
+            return self._finalize(query, reduction, lookups)
+
+    def run_from_positions(self, query: StarQuery, fact_proj: Projection,
+                           positions, recheck_columns: Set[str],
+                           recheck_dims: Set[str],
+                           dim_rows: Callable[[str], DimensionRows]
+                           ) -> ResultSet:
+        """Late materialization started from a position list instead of
+        a join: answer ``query`` from ``positions`` of ``fact_proj`` that
+        survived a broader query.
+
+        Only the fact predicates on ``recheck_columns`` and the
+        memberships of ``recheck_dims`` are re-applied, fetching each
+        column at the still-alive positions only; the aggregation tail
+        then gathers dimension group values from ``dim_rows(dim)`` (the
+        filtered rows of :meth:`dimension_rows`) by sorted-key lookup.
+        """
+        fact = query.fact_table
+        stats = self.stats
+        pos_arr = positions.to_array()
+        stats.position_ops += len(pos_arr)
+        stats.cache_refiltered_positions += len(pos_arr)
+        mask = np.ones(len(pos_arr), dtype=bool)
+
+        preds_by_column: Dict[str, List] = {}
+        for pred in query.fact_predicates():
+            preds_by_column.setdefault(pred.column, []).append(pred)
+        for column, preds in preds_by_column.items():
+            if column not in recheck_columns:
+                continue
+            alive = np.flatnonzero(mask)
+            if alive.size == 0:
+                break
+            values = self._fetch(fact_proj.column_file(column),
+                                 ArrayPositions(pos_arr[alive]))
+            keep = np.ones(len(values), dtype=bool)
+            for pred in preds:
+                domain = stored_bounds(
+                    pred, self.ctx.catalog_column(fact, column), self.level)
+                keep &= _domain_mask(values, domain, stats)
+            mask[alive[~keep]] = False
+
+        for dim in query.dimensions_used():
+            if dim not in recheck_dims:
+                continue
+            rows = dim_rows(dim)
+            alive = np.flatnonzero(mask)
+            if alive.size == 0:
+                break
+            fk = self._fetch(fact_proj.column_file(query.fk_of(dim)),
+                             ArrayPositions(pos_arr[alive])).astype(np.int64)
+            found = _member_mask(fk, rows.keys, stats)
+            mask[alive[~found]] = False
+
+        survivors = ArrayPositions(pos_arr[mask])
+        fk_arrays: Dict[str, np.ndarray] = {}
+
+        def gather(table: str, column: str) -> np.ndarray:
+            rows = dim_rows(table)
+            fk = fk_arrays.get(table)
+            if fk is None:
+                fk = self._fetch(fact_proj.column_file(query.fk_of(table)),
+                                 survivors).astype(np.int64)
+                fk_arrays[table] = fk
+            # every surviving FK is in the dimension's key set by
+            # construction, so the sorted-key gather is exact
+            stats.values_scanned_vector += len(fk)
+            return rows.attrs[column][np.searchsorted(rows.keys, fk)]
+
+        return self._aggregate_at(query, fact_proj, survivors, gather)
 
     # ------------------------------------------------------------------ #
     # early materialization
     # ------------------------------------------------------------------ #
-    def _dimension_rows_early(self, query: StarQuery, dim: str
-                              ) -> DimensionRows:
+    def dimension_rows(self, query: StarQuery, dim: str) -> DimensionRows:
         """Row-style dimension preparation: read, construct, filter."""
         proj = self.ctx.projection(dim, self.level)
         key_col = query.key_of(dim)
@@ -441,19 +529,21 @@ class ColumnPlanner:
             for p in query.fact_predicates()
         ]
         with self._span("phase1:dimension-filter"):
-            dims = [self._dimension_rows_early(query, d)
+            dims = [self.dimension_rows(query, d)
                     for d in query.dimensions_used()]
         with self._span("row-pipeline"):
             group_raw, agg_arrays, _group_dims = row_pipeline(
                 query, fact_arrays, pred_domains, dims, self.stats,
                 num_rows=live_rows)
 
-        from ..plan.aggregates import (
-            finalize as finalize_agg,
-            reduce_groups,
-            reduce_scalar,
-        )
+        return self.aggregate_rows(query, group_raw, agg_arrays)
 
+    def aggregate_rows(self, query: StarQuery, group_raw: List[np.ndarray],
+                       agg_arrays: List[np.ndarray]) -> ResultSet:
+        """The early-materialization tail over a row pipeline's output
+        (group values and aggregate inputs per surviving tuple):
+        consolidate groups, reduce, finalize.  Consolidation was already
+        paid per tuple in the pipeline, so only output decoding charges."""
         agg_funcs = [a.func for a in query.aggregates]
         with self._span("aggregate"):
             if not query.group_by:
@@ -461,37 +551,20 @@ class ColumnPlanner:
                     finalize_agg(func, *reduce_scalar(func, values))
                     for func, values in zip(agg_funcs, agg_arrays)
                 ]
-                reduction = None
             else:
-                group_arrays: List[np.ndarray] = []
-                self._group_lookups = []
-                for raw in group_raw:
-                    codes, lookup = self._normalize_group_array(raw)
-                    group_arrays.append(codes)
-                    self._group_lookups.append(lookup)
-                # consolidation (already paid per tuple in the pipeline)
-                matrix = np.stack(group_arrays) if group_arrays else \
-                    np.zeros((0, 0), dtype=np.int64)
-                if matrix.shape[1] == 0:
-                    uniq = matrix
-                    reduced = [(np.zeros(0, dtype=np.int64), None)
-                               for _ in agg_arrays]
-                else:
-                    uniq, inverse = factorize_groups(matrix)
-                    reduced = [
-                        reduce_groups(func, values, inverse, uniq.shape[1])
-                        for func, values in zip(agg_funcs, agg_arrays)
-                    ]
-                reduction = (uniq, reduced)
+                group_arrays, lookups = group_codes(group_raw)
+                uniq, inverse = factorize_groups(np.stack(group_arrays))
+                reduced = [
+                    reduce_groups(func, values, inverse, uniq.shape[1])
+                    for func, values in zip(agg_funcs, agg_arrays)
+                ]
 
         with self._span("sort"):
-            if reduction is None:
+            if not query.group_by:
                 columns = [a.alias for a in query.aggregates]
                 return ResultSet(columns, [tuple(cells)]).order_by(
                     query.order_by).limited(query.limit)
-            result = self._finalize(query, group_arrays, reduction)
-        del self._group_lookups
-        return result
+            return self._finalize(query, (uniq, reduced), lookups)
 
 
 __all__ = ["ColumnPlanner", "StoreContext"]

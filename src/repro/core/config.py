@@ -62,10 +62,6 @@ class ExecutionConfig:
     #: the four-letter label: it changes wall-clock, never the plan,
     #: the results, or the simulated I/O ledger.
     workers: int = 1
-    #: override the morsel size (rows per horizontal partition).  None
-    #: splits each operator's position space evenly across ``workers``;
-    #: explicit sizes are snapped up to storage block boundaries.
-    morsel_rows: Optional[int] = None
     #: extension (off by default — the paper's C-Store scans): consult
     #: per-block min/max synopses (zone maps) before reading, skipping
     #: blocks that cannot satisfy the predicate.  Not part of the
@@ -100,10 +96,6 @@ class ExecutionConfig:
             )
         if self.workers < 1:
             raise PlanError(f"workers must be >= 1, got {self.workers}")
-        if self.morsel_rows is not None and self.morsel_rows < 1:
-            raise PlanError(
-                f"morsel_rows must be >= 1, got {self.morsel_rows}"
-            )
         validate_layout(self.shards, self.move_threshold_rows)
 
     @property

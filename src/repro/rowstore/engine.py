@@ -13,8 +13,12 @@ measured counts to simulated seconds with the shared
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
+
+import numpy as np
 
 from ..core.config import validate_layout
 from ..core.host import (
@@ -31,7 +35,7 @@ from ..simio.stats import CostBreakdown, CostModel, QueryStats
 from ..simio.stats import PAPER_2008
 from ..ssb.generator import SsbData
 from .designs import Artifacts, DesignBuilder, DesignKind
-from .operators import SpillAccountant
+from .operators import SpillAccountant, qualified, seq_scan
 from .planner import RowPlanner
 from .statistics import CatalogStatistics
 
@@ -223,6 +227,72 @@ class SystemX(EngineHost):
         if vp_super_tuples and not self.artifacts.vp_super_heaps:
             DesignBuilder(self.disk, self.data) \
                 .build_super_vertical_partitions(self.artifacts)
+        run, _planner = self._run(
+            lambda planner: planner.run(query, design,
+                                        prune_partitions=prune_partitions,
+                                        vp_join=vp_join,
+                                        vp_super_tuples=vp_super_tuples),
+            cold_pool, cancellation, visibility)
+        return run
+
+    def execute_recording(self, query: StarQuery, cold_pool: bool = True,
+                          cancellation=None
+                          ) -> Tuple[RowStoreRun, np.ndarray,
+                                     Dict[str, np.ndarray]]:
+        """A traditional run that also records surviving rids and key
+        sets (:meth:`RowPlanner.run_recording`): ``(run, rids, key_sets)``.
+        It bypasses the execute prelude, so callers record only with no
+        pending writes and one shard."""
+        self._ensure_unpartitioned_heap()
+        run, planner = self._run(
+            lambda planner: planner.run_recording(query), cold_pool,
+            cancellation)
+        return run, planner.recorded_rids, planner.recorded_key_sets
+
+    def run_from_rids(self, query: StarQuery, rids: np.ndarray,
+                      recheck_columns: Set[str]) -> ResultSet:
+        """:meth:`RowPlanner.run_from_rids` on the current ledger,
+        untraced."""
+        with _no_redundant_copy():
+            return self._planner().run_from_rids(query, rids,
+                                                 recheck_columns)
+
+    def dimension_keys(self, query: StarQuery, dim: str) -> np.ndarray:
+        """``dim``'s keys surviving ``query``'s predicates, sorted — one
+        heap scan charged to the current ledger."""
+        key_col = query.key_of(dim)
+        parts = [
+            np.asarray(batch.column(qualified(dim, key_col)))
+            for batch in seq_scan(self.artifacts.heaps[dim], self.pool, dim,
+                                  [key_col], query.dimension_predicates(dim),
+                                  zone_maps=self.zone_maps)
+        ]
+        keys = (np.concatenate(parts).astype(np.int64)
+                if parts else np.zeros(0, dtype=np.int64))
+        keys.sort()
+        return keys
+
+    def _ensure_unpartitioned_heap(self) -> None:
+        if "lineorder" in self.artifacts.heaps:
+            return
+        # one-time load; its write I/O belongs to no query's ledger
+        with self.disk.charged_to(QueryStats()):
+            DesignBuilder(self.disk, self.data) \
+                .build_fact_unpartitioned(self.artifacts)
+
+    def _planner(self, tracer: Optional[Tracer] = None,
+                 visibility=None) -> RowPlanner:
+        spill = SpillAccountant(self.disk, self.join_memory_bytes)
+        return RowPlanner(self.pool, self.artifacts, self.data, spill,
+                          statistics=self.statistics, tracer=tracer,
+                          zone_maps=self.zone_maps, visibility=visibility)
+
+    def _run(self, body: Callable[[RowPlanner], ResultSet], cold_pool: bool,
+             cancellation, visibility=None
+             ) -> Tuple[RowStoreRun, RowPlanner]:
+        """The single-stack run prelude: a fresh ledger, a cold (or
+        warm) pool, a traced planner and the caller's cancellation token
+        around ``body(planner)``; returns the run and the planner."""
         stats = QueryStats()
         self.disk.stats = stats
         # default: start from a cold pool so measurements are
@@ -232,33 +302,19 @@ class SystemX(EngineHost):
             self.pool.clear()
         else:
             self.disk.reset_head()
-        spill = SpillAccountant(self.disk, self.join_memory_bytes)
         tracer = Tracer(stats, self.cost_model)
-        planner = RowPlanner(self.pool, self.artifacts, self.data, spill,
-                             statistics=self.statistics, tracer=tracer,
-                             zone_maps=self.zone_maps,
-                             visibility=visibility)
+        planner = self._planner(tracer, visibility)
         saved_cancellation = self.disk.cancellation
         if cancellation is not None:
             self.disk.cancellation = cancellation
         try:
-            result = planner.run(query, design,
-                                 prune_partitions=prune_partitions,
-                                 vp_join=vp_join,
-                                 vp_super_tuples=vp_super_tuples)
-        except ChecksumError as error:
-            # The row store keeps one copy of every artifact — there is
-            # no redundant projection to re-plan against, so a persistent
-            # corrupt page is final (but typed, never a wrong result).
-            raise CorruptPageError(
-                error.file, error.page_no, error.disk_no,
-                detail="row-store artifacts have no redundant copy",
-            ) from error
+            with _no_redundant_copy():
+                result = body(planner)
         finally:
             self.disk.cancellation = saved_cancellation
         trace = tracer.finish(stats)
         return RowStoreRun(result, stats, self.cost_model.cost(stats),
-                           trace=trace)
+                           trace=trace), planner
 
     def explain(self, query: StarQuery, design: DesignKind,
                 prune_partitions: bool = True, analyze: bool = False) -> str:
@@ -273,14 +329,25 @@ class SystemX(EngineHost):
         text = _explain(self.data, self.artifacts, query, design,
                         prune_partitions=prune_partitions)
         if analyze:
-            saved = self.disk.stats
-            try:
+            with self.disk.charged_to(QueryStats()):
                 run = self.execute(query, design,
                                    prune_partitions=prune_partitions)
-            finally:
-                self.disk.stats = saved
             text += "\n" + render_span_section(run.trace)
         return text
+
+
+@contextmanager
+def _no_redundant_copy() -> Iterator[None]:
+    """The row store keeps one copy of every artifact — there is no
+    redundant projection to re-plan against, so a persistent corrupt
+    page is final (but typed, never a wrong result)."""
+    try:
+        yield
+    except ChecksumError as error:
+        raise CorruptPageError(
+            error.file, error.page_no, error.disk_no,
+            detail="row-store artifacts have no redundant copy",
+        ) from error
 
 
 __all__ = ["SystemX", "RowStoreRun", "PAPER_BUFFER_POOL_BYTES",

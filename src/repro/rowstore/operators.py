@@ -24,6 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..colstore.operators.aggregate import factorize_groups, group_codes
 from ..errors import ExecutionError
 from ..plan.logical import (
     BinOp,
@@ -556,8 +557,8 @@ class HashAggregator:
                     func, acc[i], semantics.reduce_scalar(func, arr))
             return
         # consolidate the batch first, then merge per distinct group
-        matrix = np.stack([_group_code(a) for a in group_arrays])
-        uniq, inverse = np.unique(matrix, axis=1, return_inverse=True)
+        codes, _lookups = group_codes(group_arrays)
+        uniq, inverse = factorize_groups(np.stack(codes))
         per_agg = [
             semantics.reduce_groups(func, arr, inverse, uniq.shape[1])
             for func, arr in zip(self.agg_funcs, agg_arrays)
@@ -585,14 +586,6 @@ class HashAggregator:
             )
             rows.append(tuple(key) + cells)
         return ResultSet(columns, rows)
-
-
-def _group_code(arr: np.ndarray) -> np.ndarray:
-    """Map group values to comparable int64 codes for batch consolidation."""
-    if arr.dtype.kind == "S":
-        _uniq, inv = np.unique(arr, return_inverse=True)
-        return inv.astype(np.int64)
-    return arr.astype(np.int64)
 
 
 def _decode_cell(value) -> object:

@@ -25,7 +25,8 @@ spill accounting of :class:`~repro.rowstore.operators.SpillAccountant`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
@@ -188,14 +189,15 @@ class RowPlanner:
                 return True
         return False
 
-    def _join_and_aggregate(
+    def _join(
         self,
         query: StarQuery,
         stream: Iterable[RowBatch],
         dim_tables: List[Tuple[str, HashTable, float]],
         probe_rows_estimate: int,
-    ) -> ResultSet:
-        """The common tail: pipeline dimension joins, aggregate, sort."""
+    ) -> Iterable[RowBatch]:
+        """The common join step: pipeline the fact stream through each
+        dimension's hash join, most selective first (lazy)."""
         for dim, table, _sel in dim_tables:
             fk = query.fk_of(dim)
             prefixing = {
@@ -207,7 +209,7 @@ class RowPlanner:
                 self.stats, spill=self.spill,
                 probe_row_bytes=32, probe_rows_estimate=probe_rows_estimate,
             )
-        return self._aggregate(query, stream)
+        return stream
 
     def _live_filter(self, stream: Iterable[RowBatch], key: str
                      ) -> Iterator[RowBatch]:
@@ -296,12 +298,8 @@ class RowPlanner:
             )
 
     def _run_traditional(self, query: StarQuery, prune: bool) -> ResultSet:
-        dim_tables = self._dim_hash_tables(query)
-        out_columns = self._fact_out_columns(query)
-        stream = self._scan_partitions(
-            query, self.artifacts.fact_partitions, out_columns, prune)
-        estimate = self.catalog.lineorder.num_rows
-        return self._join_and_aggregate(query, stream, dim_tables, estimate)
+        return self._run_partitioned(query, self.artifacts.fact_partitions,
+                                     prune)
 
     def _run_materialized_view(self, query: StarQuery, prune: bool
                                ) -> ResultSet:
@@ -310,12 +308,74 @@ class RowPlanner:
             raise PlanError(
                 f"no materialized view covers query {query.name!r}"
             )
+        return self._run_partitioned(
+            query, self.artifacts.mv_partitions[flight], prune)
+
+    def _run_partitioned(self, query: StarQuery,
+                         partitions: Dict[int, HeapFile], prune: bool
+                         ) -> ResultSet:
         dim_tables = self._dim_hash_tables(query)
-        out_columns = self._fact_out_columns(query)
         stream = self._scan_partitions(
-            query, self.artifacts.mv_partitions[flight], out_columns, prune)
-        estimate = self.catalog.lineorder.num_rows
-        return self._join_and_aggregate(query, stream, dim_tables, estimate)
+            query, partitions, self._fact_out_columns(query), prune)
+        return self._aggregate(query, self._join(
+            query, stream, dim_tables, self.catalog.lineorder.num_rows))
+
+    def run_recording(self, query: StarQuery) -> ResultSet:
+        """The traditional plan over the *unpartitioned* fact heap, also
+        recording what a semantic cache keeps: ``recorded_rids``, the
+        heap rids surviving every join (teed between the joins and the
+        aggregation), and ``recorded_key_sets``, each predicated
+        dimension's surviving keys.  Rids must address one global heap,
+        so partition pruning is off; the rows equal a traditional run's.
+        """
+        dim_tables = self._dim_hash_tables(query)
+        stream = seq_scan(
+            self.artifacts.heaps["lineorder"], self.pool, query.fact_table,
+            out_columns=self._fact_out_columns(query),
+            predicates=query.fact_predicates(),
+            rid_column="_rid",
+            zone_maps=self.zone_maps,
+        )
+        rid_parts: List[np.ndarray] = []
+
+        def tee(batches: Iterable[RowBatch]) -> Iterator[RowBatch]:
+            for batch in batches:
+                rid_parts.append(np.asarray(batch.column("_rid")))
+                yield batch
+
+        result = self._aggregate(query, tee(self._join(
+            query, stream, dim_tables, self.catalog.lineorder.num_rows)))
+        self.recorded_rids = (np.concatenate(rid_parts).astype(np.int64)
+                              if rid_parts else np.zeros(0, dtype=np.int64))
+        self.recorded_key_sets = {
+            dim: np.asarray(table.matching_keys(), dtype=np.int64)
+            for dim, table, _sel in dim_tables
+            if query.dimension_predicates(dim)
+        }
+        return result
+
+    def run_from_rids(self, query: StarQuery, rids: np.ndarray,
+                      recheck_columns: Set[str]) -> ResultSet:
+        """Answer ``query`` from unpartitioned-heap ``rids`` that survived
+        a broader query: fetch them, post-filter the fact predicates on
+        ``recheck_columns``, and let the query's own dimension hash joins
+        drop rows outside its (narrower) dimension sets."""
+        fact = query.fact_table
+        heap = self.artifacts.heaps["lineorder"]
+        self.stats.position_ops += len(rids)
+        self.stats.cache_refiltered_positions += len(rids)
+        leftover = [p for p in query.fact_predicates()
+                    if p.column in recheck_columns]
+        fetch_cols = list(self._fact_out_columns(query))
+        for pred in leftover:
+            if pred.column not in fetch_cols:
+                fetch_cols.append(pred.column)
+        dim_tables = self._dim_hash_tables(query)
+        stream = heap_fetch(heap, self.pool, rids, fact, fetch_cols)
+        if leftover:
+            stream = self._post_filter(stream, query, leftover, heap)
+        return self._aggregate(query, self._join(
+            query, stream, dim_tables, max(len(rids), 1)))
 
     # ------------------------------------------------------------------ #
     # traditional (bitmap)
@@ -384,8 +444,8 @@ class RowPlanner:
             if leftover_preds:
                 stream = self._post_filter(stream, query, leftover_preds,
                                            fact_heap)
-        return self._join_and_aggregate(
-            query, stream, dim_tables, self.catalog.lineorder.num_rows)
+        return self._aggregate(query, self._join(
+            query, stream, dim_tables, self.catalog.lineorder.num_rows))
 
     def _post_filter(self, stream: Iterable[RowBatch], query: StarQuery,
                      preds: List[Predicate], heap: HeapFile
@@ -615,7 +675,8 @@ class RowPlanner:
         stream = current.as_batches("_rid")
         if self._fact_live is not None:
             stream = self._live_filter(stream, "_rid")
-        result = self._join_and_aggregate(query, stream, dim_tables, estimate)
+        result = self._aggregate(
+            query, self._join(query, stream, dim_tables, estimate))
         return self._decode_index_codes(query, result)
 
     def _dim_table_from_indexes(self, query: StarQuery, dim: str

@@ -1,15 +1,16 @@
 """Engine adapters: one uniform surface the service drives both engines
 through.
 
-Each adapter knows how to (a) execute a query for a session, (b) record
-the surviving fact positions of a run so the cache can keep them, (c)
-compute a dimension's surviving key set for the subsumption fallback,
-and (d) *re-filter* a cached position set under a new (subsumed) query —
-re-applying only the predicates that differ from the cached entry's and
-re-running the cheap aggregation tail, instead of rescanning the fact
-table.
+Each adapter maps a session to a cache scope and an engine call, wraps
+what a run records into a cache payload, and works out which constraints
+of a requested query differ from a cached entry's.  The engines do the
+work: (a) execute a query, (b) record the surviving fact positions (or
+rids) of a run, (c) compute a dimension's surviving key set for the
+subsumption fallback, and (d) answer a subsumed query from a cached
+position (or rid) list, re-applying only the differing constraints
+(``CStore.run_from_positions``, ``SystemX.run_from_rids``).
 
-All work these methods do is charged to whatever ledger the engine's
+All work these calls do is charged to whatever ledger the engine's
 simulated disk currently points at; the service aims it at the
 requesting query's ledger before calling in, so re-filters and key-set
 probes are priced as honestly as full scans.
@@ -18,40 +19,20 @@ probes are priced as honestly as full scans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Set, Tuple
 
 import numpy as np
 
-from ..colstore.engine import ColumnStoreRun, CStore
-from ..colstore.operators.aggregate import (
-    eval_fact_expr,
-    grouped_aggregate,
-    scalar_aggregate,
-)
-from ..colstore.operators.fetch import fetch_values
-from ..colstore.operators.scan import stored_bounds
-from ..colstore.planner import ColumnPlanner
+from ..colstore.engine import CStore
 from ..colstore.positions import (
     ArrayPositions,
     BitmapPositions,
     RangePositions,
 )
-from ..errors import ChecksumError, CorruptPageError, PlanError
-from ..obs import Tracer
-from ..plan.aggregates import needs_expr_values
-from ..plan.logical import StarQuery, expr_columns
+from ..plan.logical import StarQuery
 from ..result import ResultSet
-from ..rowstore.designs import DesignBuilder, DesignKind
-from ..rowstore.engine import RowStoreRun, SystemX
-from ..rowstore.operators import (
-    SpillAccountant,
-    hash_join,
-    heap_fetch,
-    qualified,
-    seq_scan,
-)
-from ..rowstore.planner import RowPlanner
-from ..simio.stats import QueryStats
+from ..rowstore.designs import DesignKind
+from ..rowstore.engine import SystemX
 from ..storage.colfile import CompressionLevel
 from .semcache import PositionEntry, normalize_query
 from .session import Session
@@ -91,32 +72,43 @@ class RsRids:
         return 32 + int(self.rids.nbytes)
 
 
-def _domain_mask(values: np.ndarray, domain, stats: QueryStats
-                 ) -> np.ndarray:
-    """Apply one stored-domain predicate to a fetched value vector."""
-    if isinstance(domain, list):
-        stats.hash_probes += len(values)
-        return np.isin(values, domain)
-    low, high = domain
-    stats.range_checks += len(values)
-    return (values >= low) & (values <= high)
+def _differing(query: StarQuery, entry: PositionEntry
+               ) -> Tuple[Set[str], Set[str]]:
+    """The fact columns whose predicates, and the dimensions whose
+    constraints, differ from the cached entry's: what a re-filter must
+    re-apply (everything else the cached positions already satisfy)."""
+    requested = normalize_query(query).by_column()
+    cached = entry.signature.by_column()
+    fact = query.fact_table
+    columns = {p.column for p in query.fact_predicates()
+               if requested[(fact, p.column)] != cached.get((fact, p.column))}
+
+    def constraints(by_column: Dict, dim: str) -> Dict:
+        return {c: k for (t, c), k in by_column.items() if t == dim}
+
+    dims = {dim for dim in query.dimensions_used()
+            if constraints(requested, dim) != constraints(cached, dim)}
+    return columns, dims
 
 
-def _member_mask(keys: np.ndarray, sorted_keys: np.ndarray,
-                 stats: QueryStats) -> np.ndarray:
-    """Membership of ``keys`` in an ascending key array."""
-    stats.hash_probes += len(keys)
-    if sorted_keys.size == 0:
-        return np.zeros(len(keys), dtype=bool)
-    idx = np.searchsorted(sorted_keys, keys)
-    idx = np.clip(idx, 0, sorted_keys.size - 1)
-    return sorted_keys[idx] == keys
+class _Adapter:
+    """What both adapters share: key sets from their ``dim_key_set``."""
+
+    def key_sets(self, query: StarQuery, session: Session,
+                 dim_cache: Dict) -> Dict[str, np.ndarray]:
+        """Surviving key sets of every predicated dimension (recorded
+        alongside a position entry for the subsumption fallback)."""
+        return {
+            dim: np.array(self.dim_key_set(query, session, dim, dim_cache))
+            for dim in query.dimensions_used()
+            if query.dimension_predicates(dim)
+        }
 
 
 # ---------------------------------------------------------------------- #
 # column store
 # ---------------------------------------------------------------------- #
-class ColumnStoreAdapter:
+class ColumnStoreAdapter(_Adapter):
     """Drives a :class:`CStore` for the service."""
 
     kind = "cs"
@@ -143,9 +135,8 @@ class ColumnStoreAdapter:
 
     def share_key(self, query: StarQuery, session: Session) -> Tuple:
         level = self.level(session)
-        projection = self.engine._context().best_projection(
-            query.fact_table, level, query)
-        return ("cs", level.value, projection.name)
+        return ("cs", level.value,
+                self.engine.best_projection(query, level).name)
 
     def recordable(self, session: Session) -> bool:
         # early-materialization plans have no surviving-position set;
@@ -172,164 +163,36 @@ class ColumnStoreAdapter:
         return run, payload, None  # key sets are computed on admission
 
     # -------------------------------------------------------------- #
-    def _planner(self, session: Session) -> ColumnPlanner:
-        return ColumnPlanner(self.engine._context(), session.config,
-                             session.level)
-
-    def _dim_rows(self, planner: ColumnPlanner, query: StarQuery,
-                  dim: str, dim_cache: Dict):
+    def _dim_rows(self, query: StarQuery, session: Session, dim: str,
+                  dim_cache: Dict):
         rows = dim_cache.get(dim)
         if rows is None:
-            rows = planner._dimension_rows_early(query, dim)
+            rows = self.engine.dimension_rows(query, dim, session.config,
+                                              session.level)
             dim_cache[dim] = rows
         return rows
 
     def dim_key_set(self, query: StarQuery, session: Session, dim: str,
                     dim_cache: Dict) -> np.ndarray:
         """The requested query's surviving keys for ``dim``, sorted."""
-        return self._dim_rows(self._planner(session), query, dim,
-                              dim_cache).keys
+        return self._dim_rows(query, session, dim, dim_cache).keys
 
-    def key_sets(self, query: StarQuery, session: Session,
-                 dim_cache: Dict) -> Dict[str, np.ndarray]:
-        """Surviving key sets of every predicated dimension (recorded
-        alongside a position entry for the subsumption fallback)."""
-        return {
-            dim: np.array(self.dim_key_set(query, session, dim, dim_cache))
-            for dim in query.dimensions_used()
-            if query.dimension_predicates(dim)
-        }
-
-    # -------------------------------------------------------------- #
     def refilter(self, query: StarQuery, session: Session,
                  entry: PositionEntry, dim_cache: Dict) -> ResultSet:
-        """Answer ``query`` from a subsuming entry's cached positions.
-
-        Only predicates that differ from the cached entry's are
-        re-applied (columns fetched at the still-alive positions only);
-        the aggregation tail then mirrors the planner's
-        late-materialization path exactly, so rows come out identical to
-        a cold run."""
-        engine = self.engine
+        """Answer ``query`` from a subsuming entry's cached positions
+        (rows identical to a cold run)."""
         payload: CsPositions = entry.payload
-        level = self.level(session)
-        ctx = engine._context()
-        candidates = ctx.candidates(query.fact_table, level)
-        proj = next((p for p in candidates if p.name == payload.projection),
-                    None)
-        if proj is None:
-            raise PlanError(
-                f"cached projection {payload.projection!r} is no longer "
-                f"usable")
-        planner = ColumnPlanner(ctx, session.config, session.level)
-        stats = planner.stats
-        config = session.config
-        fact = query.fact_table
-
-        pos_arr = payload.positions.to_array()
-        stats.position_ops += len(pos_arr)
-        stats.cache_refiltered_positions += len(pos_arr)
-        mask = np.ones(len(pos_arr), dtype=bool)
-
-        requested = normalize_query(query).by_column()
-        cached = entry.signature.by_column()
-
-        # fact predicates the cached entry does not already guarantee
-        preds_by_column: Dict[str, List] = {}
-        for pred in query.fact_predicates():
-            preds_by_column.setdefault(pred.column, []).append(pred)
-        for column, preds in preds_by_column.items():
-            if requested[(fact, column)] == cached.get((fact, column)):
-                continue
-            alive = np.flatnonzero(mask)
-            if alive.size == 0:
-                break
-            values = fetch_values(proj.column_file(column), engine.pool,
-                                  ArrayPositions(pos_arr[alive]), config)
-            keep = np.ones(len(values), dtype=bool)
-            for pred in preds:
-                domain = stored_bounds(
-                    pred, ctx.catalog_column(fact, column), planner.level)
-                keep &= _domain_mask(values, domain, stats)
-            mask[alive[~keep]] = False
-
-        # dimension memberships that differ from the cached entry's
-        for dim in query.dimensions_used():
-            dim_requested = {c: k for (t, c), k in requested.items()
-                             if t == dim}
-            dim_cached = {c: k for (t, c), k in cached.items() if t == dim}
-            if dim_requested == dim_cached:
-                continue
-            rows = self._dim_rows(planner, query, dim, dim_cache)
-            alive = np.flatnonzero(mask)
-            if alive.size == 0:
-                break
-            fk = fetch_values(proj.column_file(query.fk_of(dim)),
-                              engine.pool, ArrayPositions(pos_arr[alive]),
-                              config).astype(np.int64)
-            found = _member_mask(fk, rows.keys, stats)
-            mask[alive[~found]] = False
-
-        survivors = ArrayPositions(pos_arr[mask])
-
-        # aggregation tail, mirroring ColumnPlanner._run_late
-        agg_funcs = [a.func for a in query.aggregates]
-        fact_arrays: Dict[str, np.ndarray] = {}
-        for agg in query.aggregates:
-            if not needs_expr_values(agg.func):
-                continue
-            for ref in expr_columns(agg.expr):
-                if ref.table == fact and ref.column not in fact_arrays:
-                    fact_arrays[ref.column] = fetch_values(
-                        proj.column_file(ref.column), engine.pool,
-                        survivors, config)
-        agg_arrays = [
-            eval_fact_expr(a.expr, fact_arrays, stats, config)
-            if needs_expr_values(a.func)
-            else np.zeros(survivors.count, dtype=np.int64)
-            for a in query.aggregates
-        ]
-        if not query.group_by:
-            cells = scalar_aggregate(agg_arrays, stats, config,
-                                     funcs=agg_funcs)
-            columns = [a.alias for a in query.aggregates]
-            return ResultSet(columns, [tuple(cells)]).order_by(
-                query.order_by).limited(query.limit)
-
-        group_arrays: List[np.ndarray] = []
-        planner._group_lookups = []
-        fk_arrays: Dict[str, np.ndarray] = {}
-        for g in query.group_by:
-            if g.table == fact:
-                raw = fetch_values(proj.column_file(g.column), engine.pool,
-                                   survivors, config)
-            else:
-                rows = self._dim_rows(planner, query, g.table, dim_cache)
-                fk = fk_arrays.get(g.table)
-                if fk is None:
-                    fk = fetch_values(
-                        proj.column_file(query.fk_of(g.table)), engine.pool,
-                        survivors, config).astype(np.int64)
-                    fk_arrays[g.table] = fk
-                # every surviving FK is in the dimension's key set by
-                # construction, so the sorted-key gather is exact
-                idx = np.searchsorted(rows.keys, fk)
-                stats.values_scanned_vector += len(fk)
-                raw = rows.attrs[g.column][idx]
-            codes, lookup = planner._normalize_group_array(raw)
-            group_arrays.append(codes)
-            planner._group_lookups.append(lookup)
-        reduction = grouped_aggregate(group_arrays, agg_arrays, stats,
-                                      config, funcs=agg_funcs)
-        result = planner._finalize(query, group_arrays, reduction)
-        del planner._group_lookups
-        return result
+        columns, dims = _differing(query, entry)
+        return self.engine.run_from_positions(
+            query, session.config, session.level, payload.projection,
+            payload.positions, columns, dims,
+            lambda dim: self._dim_rows(query, session, dim, dim_cache))
 
 
 # ---------------------------------------------------------------------- #
 # row store
 # ---------------------------------------------------------------------- #
-class RowStoreAdapter:
+class RowStoreAdapter(_Adapter):
     """Drives a :class:`SystemX` for the service."""
 
     kind = "rs"
@@ -362,159 +225,25 @@ class RowStoreAdapter:
                                    cold_pool=not warm,
                                    cancellation=cancellation)
 
-    # -------------------------------------------------------------- #
-    def _ensure_unpartitioned_heap(self) -> None:
-        engine = self.engine
-        if "lineorder" in engine.artifacts.heaps:
-            return
-        # one-time load; its write I/O belongs to no query's ledger
-        saved = engine.disk.stats
-        engine.disk.stats = QueryStats()
-        try:
-            DesignBuilder(engine.disk, engine.data) \
-                .build_fact_unpartitioned(engine.artifacts)
-        finally:
-            engine.disk.stats = saved
-
     def execute_recording(self, query: StarQuery, session: Session,
                           warm: bool = False, cancellation=None):
-        """A traditional-plan run that also records surviving rids.
-
-        Recording scans the unpartitioned fact heap (rids must address
-        one global heap), so its ledger reads like a traditional run
-        with partition pruning off; results are identical."""
-        engine = self.engine
-        self._ensure_unpartitioned_heap()
-        stats = QueryStats()
-        engine.disk.stats = stats
-        saved_cancellation = engine.disk.cancellation
-        if cancellation is not None:
-            engine.disk.cancellation = cancellation
-        if warm:
-            engine.disk.reset_head()
-        else:
-            engine.pool.clear()
-        spill = SpillAccountant(engine.disk, engine.join_memory_bytes)
-        tracer = Tracer(stats, engine.cost_model)
-        planner = RowPlanner(engine.pool, engine.artifacts, engine.data,
-                             spill, statistics=engine.statistics,
-                             tracer=tracer, zone_maps=engine.zone_maps)
-        heap = engine.artifacts.heaps["lineorder"]
-        rid_parts: List[np.ndarray] = []
-
-        def tee(stream):
-            for batch in stream:
-                rid_parts.append(np.asarray(batch.column("_rid")))
-                yield batch
-
-        try:
-            dim_tables = planner._dim_hash_tables(query)
-            stream = seq_scan(
-                heap, engine.pool, query.fact_table,
-                out_columns=planner._fact_out_columns(query),
-                predicates=query.fact_predicates(),
-                rid_column="_rid",
-                zone_maps=engine.zone_maps,
-            )
-            for dim, table, _sel in dim_tables:
-                fk = query.fk_of(dim)
-                prefixing = {qualified(dim, a): qualified(dim, a)
-                             for a in query.group_by_of(dim)}
-                stream = hash_join(
-                    stream, qualified(query.fact_table, fk), table,
-                    prefixing, stats, spill=spill, probe_row_bytes=32,
-                    probe_rows_estimate=engine.data.lineorder.num_rows,
-                )
-            result = planner._aggregate(query, tee(stream))
-        except ChecksumError as error:
-            raise CorruptPageError(
-                error.file, error.page_no, error.disk_no,
-                detail="row-store artifacts have no redundant copy",
-            ) from error
-        finally:
-            engine.disk.cancellation = saved_cancellation
-        trace = tracer.finish(stats)
-        run = RowStoreRun(result, stats, engine.cost_model.cost(stats),
-                          trace=trace)
-        rids = (np.concatenate(rid_parts).astype(np.int64)
-                if rid_parts else np.zeros(0, dtype=np.int64))
-        key_sets = {
-            dim: np.asarray(table.matching_keys(), dtype=np.int64)
-            for dim, table, _sel in dim_tables
-            if query.dimension_predicates(dim)
-        }
+        run, rids, key_sets = self.engine.execute_recording(
+            query, cold_pool=not warm, cancellation=cancellation)
         return run, RsRids(rids), key_sets
 
     def dim_key_set(self, query: StarQuery, session: Session, dim: str,
                     dim_cache: Dict) -> np.ndarray:
-        arr = dim_cache.get(dim)
-        if arr is not None:
-            return arr
-        engine = self.engine
-        heap = engine.artifacts.heaps[dim]
-        key_col = query.key_of(dim)
-        parts = [
-            np.asarray(batch.column(qualified(dim, key_col)))
-            for batch in seq_scan(heap, engine.pool, dim, [key_col],
-                                  query.dimension_predicates(dim),
-                                  zone_maps=engine.zone_maps)
-        ]
-        arr = (np.concatenate(parts).astype(np.int64)
-               if parts else np.zeros(0, dtype=np.int64))
-        arr.sort()
-        dim_cache[dim] = arr
-        return arr
-
-    def key_sets(self, query: StarQuery, session: Session,
-                 dim_cache: Dict) -> Dict[str, np.ndarray]:
-        return {
-            dim: np.array(self.dim_key_set(query, session, dim, dim_cache))
-            for dim in query.dimensions_used()
-            if query.dimension_predicates(dim)
-        }
+        keys = dim_cache.get(dim)
+        if keys is None:
+            keys = self.engine.dimension_keys(query, dim)
+            dim_cache[dim] = keys
+        return keys
 
     def refilter(self, query: StarQuery, session: Session,
                  entry: PositionEntry, dim_cache: Dict) -> ResultSet:
-        """Answer ``query`` by rid-fetching a subsuming entry's rows.
-
-        Fact predicates the entry does not guarantee are post-filtered;
-        the requested query's own dimension hash joins then drop any
-        cached row outside its (narrower) dimension sets."""
-        engine = self.engine
-        payload: RsRids = entry.payload
-        heap = engine.artifacts.heaps["lineorder"]
-        spill = SpillAccountant(engine.disk, engine.join_memory_bytes)
-        planner = RowPlanner(engine.pool, engine.artifacts, engine.data,
-                             spill, statistics=engine.statistics,
-                             zone_maps=engine.zone_maps)
-        stats = planner.stats
-        fact = query.fact_table
-        rids = payload.rids
-        stats.position_ops += len(rids)
-        stats.cache_refiltered_positions += len(rids)
-
-        requested = normalize_query(query).by_column()
-        cached = entry.signature.by_column()
-        leftover = [
-            p for p in query.fact_predicates()
-            if requested[(fact, p.column)] != cached.get((fact, p.column))
-        ]
-        fetch_cols = list(planner._fact_out_columns(query))
-        for pred in leftover:
-            if pred.column not in fetch_cols:
-                fetch_cols.append(pred.column)
-        try:
-            dim_tables = planner._dim_hash_tables(query)
-            stream = heap_fetch(heap, engine.pool, rids, fact, fetch_cols)
-            if leftover:
-                stream = planner._post_filter(stream, query, leftover, heap)
-            return planner._join_and_aggregate(query, stream, dim_tables,
-                                               max(len(rids), 1))
-        except ChecksumError as error:
-            raise CorruptPageError(
-                error.file, error.page_no, error.disk_no,
-                detail="row-store artifacts have no redundant copy",
-            ) from error
+        """Answer ``query`` by rid-fetching a subsuming entry's rows."""
+        columns, _dims = _differing(query, entry)
+        return self.engine.run_from_rids(query, entry.payload.rids, columns)
 
 
 __all__ = ["ColumnStoreAdapter", "RowStoreAdapter", "CsPositions",

@@ -51,7 +51,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import (
@@ -89,6 +89,12 @@ from .sharing import ScanSharing
 BREAKER_FAULTS = (CorruptPageError, ChecksumError, TransientIOError,
                   QueryCancelledError)
 
+#: most queries one shared-scan wave serves
+WAVE_LIMIT = 8
+#: resilience-clock charge (simulated s) per failed query, on top of the
+#: work it burned
+FAILURE_CLOCK_SECONDS = 1e-3
+
 
 @dataclass
 class ServiceConfig:
@@ -101,7 +107,6 @@ class ServiceConfig:
     cache_budget_bytes: int = 64 << 20
     cache_admit_seconds: float = 1e-3  #: cost-aware admission threshold
     shared_scans: bool = False      #: batch same-projection queries per wave
-    wave_limit: int = 8             #: max queries served per shared wave
     breakers: bool = True           #: per-scope circuit breakers on/off
     breaker_threshold: int = 3      #: consecutive faults before opening
     breaker_cooldown: float = 0.05  #: simulated seconds open before half-open
@@ -109,7 +114,6 @@ class ServiceConfig:
     shed_threshold: Optional[float] = None  #: brownout: est. wait (sim s)
     deadline: Optional[float] = None        #: default wall deadline per query
     sim_deadline: Optional[float] = None    #: default simulated-seconds budget
-    failure_clock_seconds: float = 1e-3     #: clock charge per failed query
 
 
 @dataclass
@@ -353,30 +357,8 @@ class ServiceStats:
 
     def snapshot(self) -> Dict[str, float]:
         with self._lock:
-            return {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "failed": self.failed,
-                "rejected": self.rejected,
-                "deadline_misses": self.deadline_misses,
-                "engine_runs": self.engine_runs,
-                "exact_hits": self.exact_hits,
-                "subsumption_hits": self.subsumption_hits,
-                "shared_waves": self.shared_waves,
-                "shared_followers": self.shared_followers,
-                "shed": self.shed,
-                "cancelled": self.cancelled,
-                "writes": self.writes,
-                "moves": self.moves,
-                "recoveries": self.recoveries,
-                "degraded_hits": self.degraded_hits,
-                "breaker_opens": self.breaker_opens,
-                "breaker_half_opens": self.breaker_half_opens,
-                "breaker_closes": self.breaker_closes,
-                "breaker_rejections": self.breaker_rejections,
-                "simulated_seconds": self.simulated_seconds,
-                "wall_seconds": self.wall_seconds,
-            }
+            return {f.name: getattr(self, f.name) for f in fields(self)
+                    if f.name != "_lock"}
 
 
 class _Request:
@@ -396,7 +378,6 @@ class _Request:
         self.done = False
         self.run: Optional[ServiceRun] = None
         self.error: Optional[BaseException] = None
-        self.shared = False
         self.started = time.perf_counter()
 
 
@@ -715,7 +696,7 @@ class QueryService:
                 if not request.done:
                     if share_key is not None:
                         wave = self.sharing.take(share_key, request,
-                                                 self.config.wave_limit)
+                                                 WAVE_LIMIT)
                     else:
                         wave = [request]
                     self._serve_wave(adapter, wave)
@@ -730,7 +711,7 @@ class QueryService:
             # it burned, plus a fixed charge so all-failing workloads
             # still make progress toward breaker cooldowns
             self.clock.advance(self.cost_model.cost(stats).total_seconds
-                               + self.config.failure_clock_seconds)
+                               + FAILURE_CLOCK_SECONDS)
             self.stats.note(
                 failed=1,
                 deadline_misses=int(isinstance(error, DeadlineError)),
@@ -846,42 +827,17 @@ class QueryService:
         stats, tracer = request.stats, request.tracer
         engine = adapter.engine
         dim_cache: Dict = {}
-        entry = None
         scope = None
         if request.use_cache:
-            scope = adapter.scope(session)
-            with tracer.span("cache-lookup"):
-                stats.cache_lookups += 1
-                result = self.cache.lookup_result(scope, query)
-                if result is not None:
-                    stats.cache_exact_hits += 1
-                else:
-                    # key-set probes read dimension columns: charge them
-                    # to this query's ledger
-                    saved = engine.disk.stats
-                    engine.disk.stats = stats
-                    try:
-                        entry = self.cache.find_subsuming(
-                            scope, normalize_query(query),
-                            lambda dim: adapter.dim_key_set(
-                                query, session, dim, dim_cache),
-                            dimensions=frozenset(query.joins.values()))
-                    finally:
-                        engine.disk.stats = saved
-                    if entry is None:
-                        stats.cache_misses += 1
+            scope, result, entry = self._lookup(adapter, request, dim_cache)
             if result is not None:
                 request.run = self._finish(request, result, "cache-exact",
                                            shared)
                 return False
             if entry is not None:
-                saved = engine.disk.stats
-                engine.disk.stats = stats
                 try:
-                    with tracer.span("cache-refilter"):
-                        result = adapter.refilter(query, session, entry,
-                                                  dim_cache)
-                    stats.cache_subsumption_hits += 1
+                    result = self._refilter(adapter, request, entry,
+                                            dim_cache)
                     request.run = self._finish(request, result,
                                                "cache-refilter", shared)
                     return True
@@ -890,8 +846,6 @@ class QueryService:
                     # projection went bad) falls back to a full run
                     self.cache.discard(entry.key)
                     stats.cache_misses += 1
-                finally:
-                    engine.disk.stats = saved
 
         # miss (or cache off): run the engine, under a shared-scan span
         # when this execution is part of a wave
@@ -926,13 +880,9 @@ class QueryService:
                                         run.seconds, _tables_of(query))
                 if payload is not None:
                     if key_sets is None:
-                        saved = engine.disk.stats
-                        engine.disk.stats = stats
-                        try:
+                        with engine.disk.charged_to(stats):
                             key_sets = adapter.key_sets(query, session,
                                                         dim_cache)
-                        finally:
-                            engine.disk.stats = saved
                     self.cache.admit_positions(
                         scope, normalize_query(query), payload, key_sets,
                         run.seconds, payload.nbytes)
@@ -954,45 +904,63 @@ class QueryService:
 
         Returns True when served; False means "no cache answer" and the
         caller raises."""
-        query, session = request.query, request.session
-        stats, tracer = request.stats, request.tracer
-        engine = adapter.engine
-        scope = adapter.scope(session)
-        entry = None
-        with tracer.span("cache-lookup"):
-            stats.cache_lookups += 1
-            result = self.cache.lookup_result(scope, query)
-            if result is not None:
-                stats.cache_exact_hits += 1
-            else:
-                entry = self.cache.find_subsuming(
-                    scope, normalize_query(query), None,
-                    dimensions=frozenset(query.joins.values()))
-                if entry is None:
-                    stats.cache_misses += 1
+        _scope, result, entry = self._lookup(adapter, request, None)
         if result is not None:
-            tracer.leaf("degraded-hit", QueryStats())
+            request.tracer.leaf("degraded-hit", QueryStats())
             request.run = self._finish(request, result, "cache-exact",
                                        shared, degraded=True)
             return True
         if entry is None:
             return False
-        saved = engine.disk.stats
-        engine.disk.stats = stats
         try:
-            with tracer.span("cache-refilter"):
-                result = adapter.refilter(query, session, entry, {})
+            result = self._refilter(adapter, request, entry, {})
         except ReproError as error:
             raise BreakerOpenError(
                 breaker_scope,
                 detail=f"degraded re-filter failed: {error}") from error
-        finally:
-            engine.disk.stats = saved
-        stats.cache_subsumption_hits += 1
-        tracer.leaf("degraded-hit", QueryStats())
+        request.tracer.leaf("degraded-hit", QueryStats())
         request.run = self._finish(request, result, "cache-refilter",
                                    shared, degraded=True)
         return True
+
+    def _lookup(self, adapter, request: _Request,
+                dim_cache: Optional[Dict]) -> Tuple:
+        """One ``cache-lookup`` span: an exact result hit, else a
+        subsuming position entry; returns ``(scope, result, entry)``.
+        Key-set probes read dimension columns, charged to the request's
+        ledger; ``dim_cache=None`` allows no probes, so only symbolically
+        proven subsumption is found."""
+        query, session, stats = request.query, request.session, request.stats
+        scope = adapter.scope(session)
+        keyset_fn = None
+        if dim_cache is not None:
+            def keyset_fn(dim: str):
+                return adapter.dim_key_set(query, session, dim, dim_cache)
+        entry = None
+        with request.tracer.span("cache-lookup"):
+            stats.cache_lookups += 1
+            result = self.cache.lookup_result(scope, query)
+            if result is not None:
+                stats.cache_exact_hits += 1
+            else:
+                with adapter.engine.disk.charged_to(stats):
+                    entry = self.cache.find_subsuming(
+                        scope, normalize_query(query), keyset_fn,
+                        dimensions=frozenset(query.joins.values()))
+                if entry is None:
+                    stats.cache_misses += 1
+        return scope, result, entry
+
+    def _refilter(self, adapter, request: _Request, entry,
+                  dim_cache: Dict) -> ResultSet:
+        """Answer from a subsuming ``entry`` through the engine, under a
+        ``cache-refilter`` span charged to the request's ledger."""
+        with adapter.engine.disk.charged_to(request.stats), \
+                request.tracer.span("cache-refilter"):
+            result = adapter.refilter(request.query, request.session, entry,
+                                      dim_cache)
+        request.stats.cache_subsumption_hits += 1
+        return result
 
     def _finish(self, request: _Request, result: ResultSet, source: str,
                 shared: bool, degraded: bool = False) -> ServiceRun:

@@ -16,6 +16,7 @@ costs one seek.
 from __future__ import annotations
 
 import zlib
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import StorageError, TransientIOError
@@ -242,6 +243,17 @@ class SimulatedDisk:
         seek = self._stripe_heads[disk_no] != (name, local)
         self.stats.charge_stripe_read(disk_no, PAGE_SIZE, seek)
         self._stripe_heads[disk_no] = (name, local + 1)
+
+    @contextmanager
+    def charged_to(self, stats: QueryStats) -> Iterator[QueryStats]:
+        """Point the active ledger at ``stats`` for the block, restoring
+        the previous ledger on exit (also on error)."""
+        saved = self.stats
+        self.stats = stats
+        try:
+            yield stats
+        finally:
+            self.stats = saved
 
     def reset_head(self) -> None:
         """Forget head position (e.g. between queries)."""

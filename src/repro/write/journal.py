@@ -74,15 +74,11 @@ class RedoJournal:
                              separators=(",", ":")).encode("ascii")
         chunks = [payload[i:i + PAGE_SIZE]
                   for i in range(0, len(payload), PAGE_SIZE)]
-        saved = self.disk.stats
-        self.disk.stats = stats
-        try:
-            with span_context(tracer, "journal-append"):
-                for chunk in chunks:
-                    self._append_with_retry(chunk, stats)
-                stats.journal_pages += len(chunks)
-        finally:
-            self.disk.stats = saved
+        with self.disk.charged_to(stats), \
+                span_context(tracer, "journal-append"):
+            for chunk in chunks:
+                self._append_with_retry(chunk, stats)
+            stats.journal_pages += len(chunks)
         self.records += 1
         crash_point(self.disk.fault_injector, CRASH_AFTER_JOURNAL_APPEND)
         return len(chunks)

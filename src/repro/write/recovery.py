@@ -112,38 +112,33 @@ def scan_journal(journal: RedoJournal, stats: QueryStats,
     f = disk.file(JOURNAL_FILE)
     records: List[JournalRecord] = []
     torn = False
-    saved = disk.stats
-    disk.stats = stats
-    try:
-        with span_context(tracer, "journal-replay"):
-            buffer = b""
-            for page_no in range(f.num_pages):
-                payload = None
-                for attempt in range(1, MAX_READ_RETRIES + 1):
-                    try:
-                        payload = disk.read_page(JOURNAL_FILE, page_no)
-                        break
-                    except TransientIOError:
-                        stats.io_retries += 1
-                        stats.retry_backoff_us += _backoff_us(attempt)
-                if payload is None or not disk.verify_page(
-                        JOURNAL_FILE, page_no, payload):
-                    torn = True
-                    break
-                stats.journal_replay_pages += 1
-                buffer += payload
+    with disk.charged_to(stats), span_context(tracer, "journal-replay"):
+        buffer = b""
+        for page_no in range(f.num_pages):
+            payload = None
+            for attempt in range(1, MAX_READ_RETRIES + 1):
                 try:
-                    record = json.loads(buffer.decode("ascii"))
-                except (ValueError, UnicodeDecodeError):
-                    continue  # record spans further pages
-                records.append(JournalRecord(lsn=len(records) + 1,
-                                             end_page=page_no + 1,
-                                             record=record))
-                buffer = b""
-            if buffer:
+                    payload = disk.read_page(JOURNAL_FILE, page_no)
+                    break
+                except TransientIOError:
+                    stats.io_retries += 1
+                    stats.retry_backoff_us += _backoff_us(attempt)
+            if payload is None or not disk.verify_page(
+                    JOURNAL_FILE, page_no, payload):
                 torn = True
-    finally:
-        disk.stats = saved
+                break
+            stats.journal_replay_pages += 1
+            buffer += payload
+            try:
+                record = json.loads(buffer.decode("ascii"))
+            except (ValueError, UnicodeDecodeError):
+                continue  # record spans further pages
+            records.append(JournalRecord(lsn=len(records) + 1,
+                                         end_page=page_no + 1,
+                                         record=record))
+            buffer = b""
+        if buffer:
+            torn = True
     return records, torn
 
 

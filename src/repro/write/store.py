@@ -133,8 +133,6 @@ class WriteStore:
         #: an existing journal may be adopted (cold-start replay re-applies
         #: a surviving journal against fresh base tables)
         self.journal = journal if journal is not None else RedoJournal()
-        # projection-space deleted positions, keyed (epoch, sort keys)
-        self._proj_cache: Dict[Tuple[int, Tuple[str, ...]], np.ndarray] = {}
         # batch application is not re-entrant: journal order must match
         # buffer mutation order, so a racing second writer is refused typed
         self._apply_lock = threading.Lock()
@@ -500,36 +498,6 @@ class WriteStore:
         """Every table as of ``epoch`` (the tuple mover's input)."""
         return {n: self.effective_table(n, epoch) for n in self._base}
 
-    def deleted_fact_positions_sorted(
-        self, sort_keys: Tuple[str, ...], epoch: int
-    ) -> np.ndarray:
-        """Deleted base fact rows as positions in the projection whose
-        sort order is ``sort_keys`` (cached per (epoch, keys)).
-
-        The default fact projection shares the base order, so positions
-        are the base row numbers; other projections permute by lexsort
-        exactly as :meth:`Table.sort_by` does.
-        """
-        key = (epoch, tuple(sort_keys))
-        cached = self._proj_cache.get(key)
-        if cached is not None:
-            return cached
-        base = self._base[FACT_TABLE]
-        deleted = np.asarray(
-            sorted(pos for pos, ep in self._base_deleted[FACT_TABLE].items()
-                   if ep <= epoch),
-            dtype=np.int64,
-        )
-        if len(deleted) and tuple(sort_keys) not in ((), base.sort_order.keys):
-            perm = np.lexsort(
-                [base.column(k).data for k in reversed(sort_keys)]
-            )
-            inverse = np.empty(base.num_rows, dtype=np.int64)
-            inverse[perm] = np.arange(base.num_rows, dtype=np.int64)
-            deleted = np.sort(inverse[deleted])
-        self._proj_cache[key] = deleted
-        return deleted
-
     # ------------------------------------------------------------------ #
     # tuple mover hand-off
     # ------------------------------------------------------------------ #
@@ -547,7 +515,6 @@ class WriteStore:
         self._base = dict(tables)
         self._wos = {n: [] for n in tables}
         self._base_deleted = {n: {} for n in tables}
-        self._proj_cache.clear()
         self.horizon = self.epoch
 
     # ------------------------------------------------------------------ #

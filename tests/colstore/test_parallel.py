@@ -62,13 +62,12 @@ def test_parallel_equivalence(cstore, query, label):
 
 
 def test_small_morsels_still_equivalent(cstore):
-    """An explicit tiny morsel size (many more morsels than workers)
-    exercises window snapping without changing anything observable."""
+    """Many small morsels (eight workers' block-snapped windows)
+    exercise window snapping without changing anything observable."""
     query = ALL_QUERIES[3]  # Q2.1: joins, group-by, fact fetches
     serial = cstore.execute(query, ExecutionConfig.baseline())
-    tiny = dataclasses.replace(ExecutionConfig.baseline(), workers=3,
-                               morsel_rows=1000)
-    parallel = cstore.execute(query, tiny)
+    many = dataclasses.replace(ExecutionConfig.baseline(), workers=8)
+    parallel = cstore.execute(query, many)
     assert parallel.result.rows == serial.result.rows
     for field in _IO_FIELDS:
         assert getattr(parallel.stats, field) == getattr(serial.stats, field)
@@ -108,8 +107,6 @@ def test_workers_knob_validation():
 
     with pytest.raises(PlanError):
         ExecutionConfig(workers=0)
-    with pytest.raises(PlanError):
-        ExecutionConfig(morsel_rows=0)
     assert ExecutionConfig(workers=4).label == "tICL"  # label unchanged
 
 

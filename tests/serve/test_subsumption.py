@@ -15,13 +15,20 @@ pairs whose predicates are genuinely contained:
 
 Any extra pair would mean the cache served rows it could not prove
 correct; any missing pair would mean subsumption never fires.
+
+The ledgers of each pair's seeding miss (a recording run) and of its
+re-filter are pinned to ``subsumption_ledgers.json``: refactors of the
+engine entry points behind them must not move a single counter.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.rowstore.designs import DesignKind
 from repro.serve import QueryService, ServiceConfig
-from repro.ssb.queries import ALL_QUERIES
+from repro.ssb.queries import ALL_QUERIES, query_by_name
 
 EXPECTED_PAIRS = {
     ("Q4.1", "Q4.2"),
@@ -72,3 +79,25 @@ def test_pairwise_subsumption_is_exact_and_row_identical(
                 assert run.source == "engine"
         service.close()
     assert observed == EXPECTED_PAIRS
+
+
+PINNED_LEDGERS = json.loads(
+    Path(__file__).with_name("subsumption_ledgers.json").read_text())
+
+
+@pytest.mark.parametrize("engine", ["cs", "rs"])
+@pytest.mark.parametrize("cached,requested", sorted(EXPECTED_PAIRS))
+def test_recording_and_refilter_ledgers_are_pinned(
+        engine, cached, requested, cstore, system_x):
+    service = QueryService(cstore=cstore, system_x=system_x,
+                           config=ServiceConfig(cache_admit_seconds=0.0))
+    session = service.session(engine=engine)
+    seeded = session.execute(query_by_name(cached))
+    run = session.execute(query_by_name(requested))
+    service.close()
+    assert (seeded.source, run.source) == ("engine", "cache-refilter")
+    for label, served in (("seed", seeded), ("refilter", run)):
+        pinned = PINNED_LEDGERS[f"{engine} {cached}->{requested} {label}"]
+        assert sorted(vars(served.stats).items()) == sorted(pinned.items()), \
+            f"{engine} {cached}->{requested}: {label} ledger moved"
+        assert served.trace.verify(served.stats)
